@@ -19,10 +19,16 @@ import numpy as np
 from . import trees
 from .engine import DuplexMode, run as engine_run
 from .protocols import PROTOCOL_NAMES, ceil_cbrt, make_protocol
-from .selectors import build_disperser, build_selective_family
+from .selectors import (
+    MissingSelectiveFamily,
+    ParametersTooLarge,
+    build_disperser,
+    build_selective_family,
+)
 from .verify import (
     FiringSchedule,
     NotOblivious,
+    ScheduleError,
     extract_schedule,
     find_caterpillar_witness,
 )
@@ -32,6 +38,30 @@ TREE_FAMILIES = ("path", "star", "caterpillar", "kary", "random")
 
 class CliError(Exception):
     pass
+
+
+# bad input, whichever layer notices it; main reports these as one line
+INPUT_ERRORS = (
+    CliError,
+    trees.TreeError,
+    ScheduleError,
+    MissingSelectiveFamily,
+    ParametersTooLarge,
+)
+
+
+def _size(n: int, flag: str) -> int:
+    if n < 1:
+        raise CliError(f"{flag} must be at least 1, got {n}")
+    return n
+
+
+def _env_seed() -> int:
+    raw = os.environ.get("RADIO_GATHER_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliError(f"RADIO_GATHER_SEED must be an integer, got {raw!r}") from None
 
 
 def _resolve_tree(args, seed: int | None = None):
@@ -104,7 +134,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",") if x]
+    try:
+        sizes = [_size(int(x), "--sizes entry") for x in args.sizes.split(",") if x]
+    except ValueError:
+        raise CliError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
         raise CliError("--sizes is empty")
     mode = DuplexMode(args.duplex)
@@ -153,6 +186,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_constructs(args) -> int:
+    _size(args.n, "--n")
     if args.kind == "family":
         k = args.k if args.k is not None else ceil_cbrt(args.n)
         fam = build_selective_family(args.n, k, seed=args.seed)
@@ -187,7 +221,7 @@ def cmd_adversary(args) -> int:
     else:
         if args.n is None:
             raise CliError("--n is required when extracting from a protocol")
-        proto = make_protocol(args.protocol, args.n, DuplexMode(args.duplex))
+        proto = make_protocol(args.protocol, _size(args.n, "--n"), DuplexMode(args.duplex))
         try:
             sched = extract_schedule(proto)
         except NotOblivious as exc:
@@ -235,7 +269,7 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = int(os.environ.get("RADIO_GATHER_SEED", "0"))
+    seed_default = _env_seed()
     p = argparse.ArgumentParser(
         prog="radio-gather",
         description="Simulate rumor gathering on tree radio networks.",
@@ -294,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

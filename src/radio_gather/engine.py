@@ -16,8 +16,9 @@ run() avoids touching nodes that have declared themselves idle.  A
 state's asleep_until attribute is a promise that, absent new
 receptions, act() returns None for every step strictly before it; a
 reception at step t voids the promise starting at step t+1.  The
-engine keeps a wake heap over these promises and skips provably
-silent stretches of the clock.
+engine keeps a step-keyed wake queue over these promises (a dict from
+step to the nodes due then, plus a heap of its distinct steps) and
+skips provably silent stretches of the clock.
 """
 from __future__ import annotations
 
@@ -285,8 +286,11 @@ class Trace:
         )
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump_line(obj: dict) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return (_ENCODER.encode(obj) + "\n").encode()
 
 
 def message_to_json(m: Message) -> dict:
@@ -384,8 +388,12 @@ def run(
     collisions_total = 0
     recorded: list[StepRecord] | None = [] if record_steps else None
 
+    # wake[v] is the step v is due to act; -1 while it is acting.  The
+    # queue maps a step to the nodes filed under it; an entry whose step
+    # no longer matches wake[v] is stale and is dropped when its step
+    # comes up.  due is a heap of the queue's keys.
     wake = [0] * n
-    heap: list[tuple[int, int]] = []
+    queue: dict[int, list[int]] = {}
     for v in range(n):
         if v == root:
             continue
@@ -394,14 +402,17 @@ def run(
             w = 0
         wake[v] = w
         if w < max_steps:
-            heap.append((w, v))
-    heapq.heapify(heap)
+            queue.setdefault(w, []).append(v)
+    due = list(queue)
+    heapq.heapify(due)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    keep = recorded is not None or observer is not None  # receptions wanted
 
     t = 0
     while t < max_steps and not (stop_early and completion is not None):
-        if not heap:
+        if not due:
             break
-        nxt = heap[0][0]
+        nxt = due[0]
         if nxt > t and observer is None:
             # nobody acts before nxt, so nothing can be received either
             target = min(nxt, max_steps)
@@ -412,18 +423,20 @@ def run(
             continue
 
         awake: list[int] = []
-        while heap and heap[0][0] <= t:
-            wt, v = heapq.heappop(heap)
-            if wake[v] == wt:
-                wake[v] = -1  # claimed for this step; stale heap entries miss
-                awake.append(v)
+        while due and due[0] <= t:
+            wt = heappop(due)
+            for v in queue.pop(wt):
+                if wake[v] == wt:
+                    wake[v] = -1  # claimed for this step; stale entries miss
+                    awake.append(v)
         awake.sort()
 
         transmitters: dict[int, Message] = {}
         for v in awake:
             view = views[v]
             view.time = t
-            action = states[v].act(view)
+            state = states[v]
+            action = state.act(view)
             if action is not None:
                 if type(action) is not mkind:
                     raise ProtocolViolatedMessageBound(
@@ -431,12 +444,25 @@ def run(
                         f"node {v} returned {type(action).__name__}"
                     )
                 transmitters[v] = action
-            na = states[v].asleep_until
+            na = state.asleep_until
             if na <= t:
                 na = t + 1
             wake[v] = na
             if na < max_steps:
-                heapq.heappush(heap, (na, v))
+                bucket = queue.get(na)
+                if bucket is None:
+                    queue[na] = [v]
+                    heappush(due, na)
+                else:
+                    bucket.append(v)
+
+        if not transmitters:
+            if recorded is not None:
+                recorded.append(StepRecord(t, (), {}, ()))
+            if observer is not None:
+                observer(t, states, transmitters, {}, frozenset())
+            t += 1
+            continue
 
         first: dict[int, Message] = {}
         collided: set[int] = set()
@@ -454,7 +480,8 @@ def run(
         for p, msg in first.items():
             if half and p in transmitters:
                 continue
-            receptions[p] = msg
+            if keep:
+                receptions[p] = msg
             views[p].inbox.append((t, msg))
             if p == root:
                 if mkind is Unbounded:
@@ -467,7 +494,12 @@ def run(
             elif wake[p] > t + 1:
                 wake[p] = t + 1
                 if t + 1 < max_steps:
-                    heapq.heappush(heap, (t + 1, p))
+                    bucket = queue.get(t + 1)
+                    if bucket is None:
+                        queue[t + 1] = [p]
+                        heappush(due, t + 1)
+                    else:
+                        bucket.append(p)
 
         collisions_total += len(collided)
         if recorded is not None:

@@ -177,7 +177,9 @@ class LadderFloodState(ProtocolState):
     child again post-census (a leaf right at the census end), stays
     active for n rounds, then retires for good.  Received rumor sets are
     attributed to the child whose own label they contain; sibling
-    subtrees cannot share a rumor, so the attribution is unique.
+    subtrees cannot share a rumor, so the attribution is unique.  An
+    active node sleeps from one of its duty beats to the next
+    (_next_duty), so it is not woken at steps where it stays silent.
     """
 
     beats = 2
@@ -249,17 +251,27 @@ class LadderFloodState(ProtocolState):
             # dormant: some child still unheard, a reception will wake us
             self.asleep_until = SLEEP_FOREVER
             return None
-        s, beat = divmod(t - n, self.beats)
-        if s >= self.alpha + n:
-            self.asleep_until = SLEEP_FOREVER
+        duty = self._next_duty(t)
+        if duty > t:
+            self.asleep_until = duty
             return None
+        self.asleep_until = self._next_duty(t + 1)
+        return self._message()
+
+    def _next_duty(self, u: int) -> int:
+        """First step >= u (u >= n) at which this active node transmits:
+        beat 1 of every round in its window, and beat 0 of its relay
+        round.  Only the duty beats are acted on; absorbing a reception
+        never moves them, since alpha is fixed once set."""
+        n = self.n
+        s, beat = divmod(u - n, 2)
         if s < self.alpha:
-            self.asleep_until = n + self.beats * self.alpha
-            return None
-        self.asleep_until = t + 1
-        if beat == 1 or s % n == self.label:
-            return self._message()
-        return None
+            s, beat = self.alpha, 0
+        if s % n != self.label:
+            beat = 1
+        if s >= self.alpha + n:
+            return SLEEP_FOREVER
+        return n + 2 * s + beat
 
 
 class SelectorLadderFloodState(LadderFloodState):
@@ -310,46 +322,30 @@ class SelectorLadderFloodState(LadderFloodState):
         self.sets = sets
         self.m = len(sets)
 
-    def act(self, view):
-        t = view.time
+    def _next_duty(self, u: int) -> int:
+        """Inside the push window (the first min(m, n) active rounds) the
+        duty beats are the relay beat of the relay round, every push beat
+        and the selector beats of rounds whose set lists the label; after
+        it only the relay beat is left."""
         n = self.n
-        self._absorb(view)
-        if t >= n:
-            self._finish_census()
-        if t < n:
-            if t == self.label:
-                self.asleep_until = n
-                return self._message()
-            self.asleep_until = self.label if t < self.label else n
-            return None
-        if self.alpha is None:
-            self.asleep_until = SLEEP_FOREVER
-            return None
-        s, beat = divmod(t - n, 3)
-        if s >= self.alpha + n:
-            self.asleep_until = SLEEP_FOREVER
-            return None
+        s, beat = divmod(u - n, 3)
         if s < self.alpha:
-            self.asleep_until = n + 3 * self.alpha
-            return None
-        in_push = s < self.alpha + self.m
-        if in_push:
-            self.asleep_until = t + 1
-        else:
-            # only relay duty is left; jump straight to our next relay beat
-            s1 = (t + 1 - n + 2) // 3
-            duty = s1 + (self.label - s1) % n
-            if duty >= self.alpha + n:
-                self.asleep_until = SLEEP_FOREVER
-            else:
-                self.asleep_until = n + 3 * duty
-        if beat == 0:
-            out = s % n == self.label
-        elif beat == 1:
-            out = in_push
-        else:
-            out = in_push and self.label in self.sets[s % self.m]
-        return self._message() if out else None
+            s, beat = self.alpha, 0
+        push_end = self.alpha + min(self.m, n)
+        while s < push_end:
+            if beat == 0 and s % n == self.label:
+                return n + 3 * s
+            if beat <= 1:
+                return n + 3 * s + 1
+            if self.label in self.sets[s % self.m]:
+                return n + 3 * s + 2
+            s, beat = s + 1, 0
+        if beat:
+            s += 1
+        relay = s + (self.label - s) % n
+        if relay >= self.alpha + n:
+            return SLEEP_FOREVER
+        return n + 3 * relay
 
 
 class HeightPhaseRelayState(ProtocolState):
@@ -457,25 +453,36 @@ class HeightPhaseRelayState(ProtocolState):
         return self._phase_act(t)
 
     def _ladder_act(self, t: int):
-        n = self.n
         if self.alpha is None:
             self.asleep_until = SLEEP_FOREVER
             return None
-        s, beat = divmod(t - n, 3)
-        if s >= min(self.alpha + n, self.pre_rounds):
-            self.asleep_until = self.phase_base + self.height2 * self.phase_len
+        duty = self._ladder_duty(t)
+        if duty > t:
+            self.asleep_until = duty
             return None
+        self.asleep_until = self._ladder_duty(t + 1)
+        if self._report is None:
+            self._report = Bounded(
+                rumor=self.label, sender=self.label, height2=self.height2
+            )
+        return self._report
+
+    def _ladder_duty(self, u: int) -> int:
+        """First step >= u at which this active node reports: beat 1 of
+        every ladder round, and all three beats of its relay round.  Past
+        the ladder window it sleeps until its own height phase."""
+        n = self.n
+        s, beat = divmod(u - n, 3)
         if s < self.alpha:
-            self.asleep_until = n + 3 * self.alpha
-            return None
-        self.asleep_until = t + 1
-        if beat == 1 or s % n == self.label:
-            if self._report is None:
-                self._report = Bounded(
-                    rumor=self.label, sender=self.label, height2=self.height2
-                )
-            return self._report
-        return None
+            s, beat = self.alpha, 0
+        if s % n != self.label:
+            if beat == 2:
+                s, beat = s + 1, 0
+            if s % n != self.label:
+                beat = 1
+        if s >= min(self.alpha + n, self.pre_rounds):
+            return self.phase_base + self.height2 * self.phase_len
+        return n + 3 * s + beat
 
     def _phase_act(self, t: int):
         ph, off = divmod(t - self.phase_base, self.phase_len)

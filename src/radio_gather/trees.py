@@ -313,12 +313,14 @@ def load_tree(path: str) -> Tree:
         toks = [line.strip() for line in fh if line.strip()]
     if not toks:
         raise TreeError(f"{path} is empty")
-    n = int(toks[0])
-    if len(toks) != 1 + 2 * n:
-        raise TreeError(f"{path}: expected {1 + 2 * n} entries, found {len(toks)}")
-    parents = [int(t) for t in toks[1:1 + n]]
-    labels = [int(t) for t in toks[1 + n:]]
-    return build_tree(parents, labels=labels)
+    try:
+        nums = [int(t) for t in toks]
+    except ValueError as exc:
+        raise TreeError(f"{path}: every entry must be an integer ({exc})") from None
+    n = nums[0]
+    if len(nums) != 1 + 2 * n:
+        raise TreeError(f"{path}: expected {1 + 2 * n} entries, found {len(nums)}")
+    return build_tree(nums[1:1 + n], labels=nums[1 + n:])
 
 
 def log_gamma_bound(n: int, gamma: int) -> float:

@@ -36,6 +36,10 @@ class NotOblivious(ValueError):
     """The protocol's transmissions depend on more than (label, time)."""
 
 
+class ScheduleError(ValueError):
+    """A firing schedule document that does not describe a schedule."""
+
+
 @dataclasses.dataclass(frozen=True)
 class FiringSchedule:
     """Per-label firing steps of an oblivious fire-and-forward protocol."""
@@ -50,11 +54,28 @@ class FiringSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "FiringSchedule":
-        doc = json.loads(text)
-        fires = tuple(tuple(sorted(f)) for f in doc["F"])
-        if len(fires) != doc["n"]:
-            raise ValueError("schedule lists fires for the wrong number of labels")
-        return cls(n=doc["n"], T=doc["T"], fires=fires)
+        """Parse a schedule document; anything malformed raises
+        ScheduleError: bad JSON, missing keys, a fire list per label
+        other than n of them, or a fire that is not an integer in [0, T)."""
+        try:
+            doc = json.loads(text)
+            n, T, F = doc["n"], doc["T"], doc["F"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ScheduleError(f"not a schedule document: {exc}") from None
+        if not isinstance(n, int) or not isinstance(T, int) or not isinstance(F, list):
+            raise ScheduleError("schedule needs integer n and T and a list F")
+        if len(F) != n:
+            raise ScheduleError(
+                f"schedule lists fires for the wrong number of labels: {len(F)}, not n = {n}"
+            )
+        for label, f in enumerate(F):
+            if not isinstance(f, list) or not all(
+                type(x) is int and 0 <= x < T for x in f
+            ):
+                raise ScheduleError(
+                    f"fires of label {label} must be integers in [0, {T})"
+                )
+        return cls(n=n, T=T, fires=tuple(tuple(sorted(f)) for f in F))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

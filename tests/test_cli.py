@@ -168,3 +168,56 @@ def test_seed_env_default(monkeypatch, capsys):
 def test_unknown_protocol_rejected_at_parse():
     with pytest.raises(SystemExit):
         run_cli(["run", "--protocol", "nope", "--tree", "path", "--n", "4"])
+
+
+# ---------------------------------------------------------------- bad input
+# each ends in one "error: ..." line on stderr and exit code 2
+
+
+def assert_input_error(capsys, rc, needle):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+def test_run_rejects_zero_size(capsys):
+    rc = run_cli(["run", "--protocol", "rr-unb", "--tree", "random", "--n", "0"])
+    assert_input_error(capsys, rc, "n must be positive")
+
+
+def test_seed_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("RADIO_GATHER_SEED", "abc")
+    rc = run_cli(["run", "--protocol", "rr-bnd", "--tree", "star", "--n", "4"])
+    assert_input_error(capsys, rc, "RADIO_GATHER_SEED")
+
+
+def test_run_tree_file_non_integer_entry(tmp_path, capsys):
+    path = tmp_path / "t.tree"
+    path.write_text("3\n0\n0\nx\n0\n1\n2\n")
+    rc = run_cli(["run", "--protocol", "rr-unb", "--tree", str(path)])
+    assert_input_error(capsys, rc, "integer")
+
+
+def test_run_tree_file_with_cycle(tmp_path, capsys):
+    # node 0 is the root; nodes 1 and 2 are each other's parent
+    path = tmp_path / "t.tree"
+    path.write_text("3\n0\n2\n1\n0\n1\n2\n")
+    rc = run_cli(["run", "--protocol", "rr-unb", "--tree", str(path)])
+    assert_input_error(capsys, rc, "cannot reach the root")
+
+
+def test_adversary_schedule_wrong_label_count(tmp_path, capsys):
+    path = tmp_path / "sched.json"
+    path.write_text('{"n": 3, "T": 5, "F": [[0], [1]]}\n')
+    rc = run_cli(["adversary", "--schedule", str(path)])
+    assert_input_error(capsys, rc, "wrong number of labels")
+
+
+@pytest.mark.parametrize("args", [
+    ["adversary", "--protocol", "mls", "--n", "0"],
+    ["scaling", "--protocol", "mls", "--sizes", "8,0"],
+    ["constructs", "--kind", "disperser", "--n", "0"],
+])
+def test_nonpositive_sizes_rejected(args, capsys):
+    assert_input_error(capsys, run_cli(args), "must be at least 1")

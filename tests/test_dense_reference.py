@@ -1,0 +1,92 @@
+"""The wake-skipping engine against a dense reference.
+
+dense_run() calls every non-root node at every step and resolves each
+slot with the pure channel op engine.step(), so it shares no scheduling
+code with engine.run().  Alongside, it keeps the step at which run()
+would next wake each node (its sleep promise, pulled forward to t+1 by
+a reception at t) and asserts that the node returns None at every step
+before it.  A broken promise then fails at the node that made it,
+rather than showing up later as a trace difference.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from radio_gather.engine import DuplexMode, NodeView, Unbounded, run, step
+from radio_gather.protocols import PROTOCOL_NAMES, make_protocol
+from radio_gather.trees import _FAMILIES, from_family
+
+SIZES = (2, 16, 48)
+SEED = 3
+
+
+def dense_run(tree, proto, mode, max_steps, seed):
+    """Return (per-step (transmitters, receptions, collisions), delivery,
+    completion step) with every node acting at every step."""
+    n, root = tree.n, tree.root
+    states, views = [], []
+    for v in range(n):
+        rng = np.random.default_rng([seed, v]) if proto.needs_rng else None
+        states.append(proto.state_factory(tree.label[v], n, mode, rng))
+        views.append(NodeView(tree.label[v], n))
+    due = [max(s.asleep_until, 0) for s in states]
+    delivery = {tree.label[root]: 0}
+    completion = 0 if n == 1 else None
+    records = []
+    for t in range(max_steps):
+        if completion is not None:
+            break
+        actions = {}
+        for v in range(n):
+            if v == root:
+                continue
+            views[v].time = t
+            msg = states[v].act(views[v])
+            if t < due[v]:
+                assert msg is None, (
+                    f"{proto.name}: label {tree.label[v]} transmitted at step {t} "
+                    f"inside its sleep promise until {due[v]}"
+                )
+            else:
+                due[v] = max(states[v].asleep_until, t + 1)
+            if msg is not None:
+                actions[v] = msg
+        receptions, collided = step(tree, mode, actions)
+        for p, msg in receptions.items():
+            views[p].inbox.append((t, msg))
+            due[p] = min(due[p], t + 1)
+            if p == root:
+                for r in msg.rumors if isinstance(msg, Unbounded) else (msg.rumor,):
+                    delivery.setdefault(r, t)
+                if len(delivery) == n:
+                    completion = max(delivery.values())
+        records.append((tuple(sorted(actions)), receptions, tuple(sorted(collided))))
+    return records, delivery, completion
+
+
+def step_cap(proto, n):
+    if proto.horizon is not None:
+        return proto.horizon
+    return max(1, math.ceil(8 * n * math.log(max(n, 2))))
+
+
+@pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_run_matches_dense_reference(name, mode):
+    for family in _FAMILIES:
+        for n in SIZES:
+            tree = from_family(family, n, seed=SEED)
+            proto = make_protocol(name, n, mode)
+            cap = step_cap(proto, n)
+            trace = run(tree, proto, mode, max_steps=cap, seed=SEED, record_steps=True)
+            records, delivery, completion = dense_run(tree, proto, mode, cap, SEED)
+            where = f"{name} {mode.value} {family} n={n}"
+            got = [(rec.transmitters, rec.receptions, rec.collisions) for rec in trace.steps]
+            assert got == records[:len(got)], where
+            # run() may stop early once every node sleeps forever; the
+            # dense loop must find nothing but silence after that
+            assert all(not tx for tx, _, _ in records[len(got):]), where
+            assert trace.delivery == delivery, where
+            assert trace.completion_step == completion, where
+            assert trace.collisions_total == sum(len(c) for _, _, c in records), where

@@ -11,6 +11,7 @@ from radio_gather.verify import (
     FiringSchedule,
     IntervalScheme,
     NotOblivious,
+    ScheduleError,
     delivery_oracle,
     extract_schedule,
     find_caterpillar_witness,
@@ -72,6 +73,18 @@ def test_schedule_json_roundtrip(tmp_path):
 def test_schedule_json_rejects_wrong_count():
     with pytest.raises(ValueError, match="wrong number"):
         FiringSchedule.from_json('{"n": 3, "T": 5, "F": [[0], [1]]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "T": 5, "F": [[0], [5]]}',
+    '{"n": 2, "T": 5, "F": [[0], [-1]]}',
+    '{"n": 2, "T": 5, "F": [[0], [1.5]]}',
+    '{"n": 2, "T": 5}',
+    'not json',
+])
+def test_schedule_json_rejects_malformed(text):
+    with pytest.raises(ScheduleError):
+        FiringSchedule.from_json(text)
 
 
 def test_witness_found_for_single_firing_schedules():
