@@ -18,13 +18,8 @@ import numpy as np
 
 from . import trees
 from .engine import DuplexMode, run as engine_run
-from .protocols import PROTOCOL_NAMES, ceil_cbrt, make_protocol
-from .selectors import (
-    MissingSelectiveFamily,
-    ParametersTooLarge,
-    build_disperser,
-    build_selective_family,
-)
+from .protocols import PROTOCOL_NAMES, ceil_cbrt, default_family, make_protocol
+from .selectors import MissingSelectiveFamily, ParametersTooLarge, build_disperser
 from .verify import (
     FiringSchedule,
     NotOblivious,
@@ -188,8 +183,8 @@ def cmd_scaling(args) -> int:
 def cmd_constructs(args) -> int:
     _size(args.n, "--n")
     if args.kind == "family":
-        k = args.k if args.k is not None else ceil_cbrt(args.n)
-        fam = build_selective_family(args.n, k, seed=args.seed)
+        k = _size(args.k, "--k") if args.k is not None else ceil_cbrt(args.n)
+        fam = default_family(args.n, k)
         doc = {
             "n": fam.n,
             "k": fam.k,
@@ -303,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-steps", type=int)
     sp.set_defaults(func=cmd_scaling)
 
-    sp = sub.add_parser("constructs", help="dump a family or disperser as JSON")
+    sp = sub.add_parser("constructs",
+                        help="dump unb2's default selective family or mls's disperser as JSON")
     common(sp, protocol=False)
     sp.add_argument("--kind", required=True, choices=("family", "disperser"))
     sp.add_argument("--n", type=int, required=True)

@@ -26,7 +26,7 @@ import dataclasses
 import heapq
 import json
 from enum import Enum
-from typing import Any, Callable, IO, Iterator, Mapping
+from typing import Any, Callable, IO, Mapping
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class FireAndForward:
     rumor: int
 
 
+# Messages are immutable values.  The engine hands the very object a
+# child transmitted to its parent's inbox, so a state may forward a
+# received message by identity instead of building an equal copy.
 Message = Unbounded | Bounded | FireAndForward
 
 
@@ -200,14 +203,22 @@ class Trace:
     steps: list[StepRecord] | None = None
 
     def to_jsonl_bytes(self) -> bytes:
-        return b"".join(_dump_line(obj) for obj in self._records())
+        """The trace as JSONL.  Header and summary go through the
+        generic sorted-key encoder.  Step lines are formatted directly,
+        byte for byte what that encoder makes of a dict per step with
+        the receptions' messages as message_to_json gives them."""
+        lines = [_dump_line(self._header())]
+        if self.steps:
+            lines.append(_step_lines(self.steps))
+        lines.append(_dump_line(self._summary()))
+        return b"".join(lines)
 
     def to_jsonl(self, path: str) -> None:
         with open(path, "wb") as fh:
             fh.write(self.to_jsonl_bytes())
 
-    def _records(self) -> Iterator[dict]:
-        yield {
+    def _header(self) -> dict:
+        return {
             "schema": TRACE_SCHEMA,
             "kind": "header",
             "protocol": self.protocol,
@@ -217,17 +228,9 @@ class Trace:
             "max_steps": self.max_steps,
             "recorded": self.steps is not None,
         }
-        for rec in self.steps or ():
-            yield {
-                "kind": "step",
-                "step": rec.step,
-                "transmitters": list(rec.transmitters),
-                "receptions": {
-                    str(v): message_to_json(m) for v, m in rec.receptions.items()
-                },
-                "collisions": list(rec.collisions),
-            }
-        yield {
+
+    def _summary(self) -> dict:
+        return {
             "kind": "summary",
             "delivery": {str(r): t for r, t in self.delivery.items()},
             "completion_step": self.completion_step,
@@ -246,7 +249,16 @@ class Trace:
         header = None
         summary = None
         steps: list[StepRecord] = []
+        pre, suf = _SILENT_PREFIX, _SILENT_SUFFIX
+        npre, nsuf = len(pre), -len(suf)
         for raw in fh:
+            if raw[:npre] == pre and raw.endswith(suf):
+                mid = raw[npre:nsuf]
+                # digits without a leading zero: exactly what json.loads
+                # reads as a nonnegative integer
+                if mid.isdigit() and (mid[0] != 48 or len(mid) == 1):
+                    steps.append(StepRecord(int(mid), (), {}, ()))
+                    continue
             if not raw.strip():
                 continue
             obj = json.loads(raw)
@@ -291,6 +303,65 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def _dump_line(obj: dict) -> bytes:
     return (_ENCODER.encode(obj) + "\n").encode()
+
+
+# A step line's keys in sorted order: collisions, kind, receptions,
+# step, transmitters.  Silent steps differ only in their step number.
+_STEP_LINE = '{"collisions":[%s],"kind":"step","receptions":{%s},"step":%d,"transmitters":[%s]}\n'
+_SILENT_PREFIX = b'{"collisions":[],"kind":"step","receptions":{},"step":'
+_SILENT_SUFFIX = b',"transmitters":[]}\n'
+_SILENT_LINE = (_SILENT_PREFIX + b"%d" + _SILENT_SUFFIX).decode()
+
+
+def _step_lines(steps: list[StepRecord]) -> bytes:
+    """Every step line of a trace, formatted without the generic encoder.
+
+    Reception keys are node ids sorted as strings, as sort_keys sorts
+    them.  A message object that several receptions share (a forwarded
+    message, a cached rumor set) is encoded once per call; keying that
+    cache by id() is sound because steps keeps every message alive.
+    """
+    out: list[str] = []
+    append = out.append
+    encoded: dict[int, str] = {}
+    for rec in steps:
+        rx = rec.receptions
+        if not rec.transmitters and not rx and not rec.collisions:
+            append(_SILENT_LINE % rec.step)
+            continue
+        parts = []
+        for v, m in sorted(rx.items(), key=_str_key):
+            text = encoded.get(id(m))
+            if text is None:
+                text = encoded[id(m)] = _message_text(m)
+            parts.append('"%s":%s' % (v, text))
+        append(_STEP_LINE % (
+            ",".join(map(str, rec.collisions)),
+            ",".join(parts),
+            rec.step,
+            ",".join(map(str, rec.transmitters)),
+        ))
+    return "".join(out).encode()
+
+
+def _str_key(item: tuple[int, Message]) -> str:
+    return str(item[0])
+
+
+def _json_int(x: int | None) -> str:
+    return "null" if x is None else str(x)
+
+
+def _message_text(m: Message) -> str:
+    """_ENCODER.encode(message_to_json(m)), formatted directly for the
+    two small kinds."""
+    if type(m) is FireAndForward:
+        return '{"kind":"fnf","rumor":%d}' % m.rumor
+    if type(m) is Bounded:
+        return '{"height2":%s,"kind":"bounded","parity":%s,"rumor":%d,"sender":%s}' % (
+            _json_int(m.height2), _json_int(m.parity), m.rumor, _json_int(m.sender)
+        )
+    return _ENCODER.encode(message_to_json(m))
 
 
 def message_to_json(m: Message) -> dict:

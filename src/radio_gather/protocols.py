@@ -62,14 +62,16 @@ def ceil_cbrt(n: int) -> int:
 
 
 def _take_arrival(view, cursor: int, t: int):
-    """Consume inbox entries up to step t-1; return (rumor at t-1 or None, cursor)."""
+    """Consume inbox entries up to step t-1; return (message heard at
+    t-1 or None, cursor).  The message is returned itself, so a
+    fire-and-forward state forwards it without building a new one."""
     inbox = view.inbox
     got = None
     while cursor < len(inbox):
         s, msg = inbox[cursor]
         cursor += 1
         if s == t - 1:
-            got = msg.rumor
+            got = msg
     return got, cursor
 
 
@@ -79,7 +81,9 @@ class RoundRobinFloodState(ProtocolState):
 
     Each transmitted set is one node's whole history, so a received set
     either is already known or strictly extends what the receiver has;
-    the id() cache skips re-unions of sets seen before.
+    the id() cache skips re-unions of sets seen before.  The cache is
+    sound only while the inbox keeps every received message, and so its
+    rumor set, alive: a freed set's id could be reused by a new one.
     """
 
     def __init__(self, label: int, n: int):
@@ -180,6 +184,9 @@ class LadderFloodState(ProtocolState):
     subtrees cannot share a rumor, so the attribution is unique.  An
     active node sleeps from one of its duty beats to the next
     (_next_duty), so it is not woken at steps where it stays silent.
+    Re-unions are skipped by an id() cache of rumor sets seen before,
+    as in RoundRobinFloodState, and it is sound for the same reason:
+    the inbox keeps every received message alive.
     """
 
     beats = 2
@@ -561,11 +568,13 @@ class ScheduledFireForwardState(ProtocolState):
     message arrived exactly one step earlier, which silences the fire.
     At an unscheduled step the node retransmits a rumor that arrived one
     step earlier, if any.  Nothing else is ever sent, and received
-    rumors are never stored beyond that single step.
+    rumors are never stored beyond that single step.  The own-rumor
+    message is built once, and a forward sends the received message
+    object itself: messages are immutable, so sharing them is safe.
     """
 
     def __init__(self, label: int, fires):
-        self.own = label
+        self.own = FireAndForward(label)
         self.fires = tuple(sorted(set(fires)))
         self._cursor = 0
         self._fp = 0
@@ -584,10 +593,8 @@ class ScheduledFireForwardState(ProtocolState):
         self._fp = fp
         self.asleep_until = fires[fp] if fp < len(fires) else SLEEP_FOREVER
         if scheduled:
-            return FireAndForward(self.own) if arrived is None else None
-        if arrived is not None:
-            return FireAndForward(arrived)
-        return None
+            return self.own if arrived is None else None
+        return arrived
 
 
 class RandomFireForwardState(ProtocolState):
@@ -599,11 +606,13 @@ class RandomFireForwardState(ProtocolState):
     the channel itself discards receptions at a transmitting node, so
     the suppression happens at the receiver with no decision needed.
     Fire steps are drawn as geometric gaps, which keeps sleep intervals
-    long without changing the per-step law.
+    long without changing the per-step law.  Messages are shared as in
+    ScheduledFireForwardState: one own-rumor message, forwards by
+    reference.
     """
 
     def __init__(self, label: int, n: int, mode: DuplexMode, rng):
-        self.own = label
+        self.own = FireAndForward(label)
         self.n = n
         self.half = mode is DuplexMode.HALF
         self.rng = rng
@@ -626,16 +635,25 @@ class RandomFireForwardState(ProtocolState):
             self._advance(t + 1)
         else:
             self.asleep_until = self.next_fire
-        if decided and (self.half or arrived is None):
-            return FireAndForward(self.own)
-        if not decided and arrived is not None:
-            return FireAndForward(arrived)
-        return None
+        if decided:
+            return self.own if self.half or arrived is None else None
+        return arrived
 
 
 def _ladder_horizon(n: int, beats: int) -> int:
     # census + beats * (activation bound + active window)
     return n + beats * (2 * n * ceil_log2(n) + n)
+
+
+def default_family(n: int, k: int) -> SelectiveFamily:
+    """unb2's family when none is injected: the Kautz-Singleton family,
+    or n singletons where that family would have n sets or more (the
+    windows last m rounds, and singletons give m = n with the same
+    guarantee)."""
+    fam = kautz_singleton_family(n, k)
+    if fam.m >= n:
+        return singleton_family(n, k)
+    return fam
 
 
 def make_protocol(
@@ -654,8 +672,7 @@ def make_protocol(
     time is random).  unb2 gets the three-beat ladder horizon under its
     default family and under any injected family with at least one set;
     SelectorLadderFloodState gives the proof.  Its default family is
-    the Kautz-Singleton family for k = ceil(n^(1/3)), or n singletons
-    where that family would have n sets or more.
+    default_family(n, k) for k = ceil(n^(1/3)).
 
     Only bnd and mls pin the duplex mode, because their constructions
     (phase layout, disperser) depend on it; the others run under either
@@ -694,11 +711,7 @@ def make_protocol(
         k = kappa if kappa is not None else ceil_cbrt(n)
         fam = family
         if fam is None:
-            fam = kautz_singleton_family(n, k)
-            if fam.m >= n:
-                # the windows last m rounds; singletons give m = n and
-                # the same guarantee
-                fam = singleton_family(n, k)
+            fam = default_family(n, k)
         elif fam.n != n:
             raise MissingSelectiveFamily(
                 f"family covers a ground set of {fam.n}, protocol needs {n}"

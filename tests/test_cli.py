@@ -8,6 +8,7 @@ import pytest
 
 from radio_gather.cli import main
 from radio_gather.engine import Trace
+from radio_gather.protocols import make_protocol
 from radio_gather.trees import make_random_tree, save_tree
 from radio_gather.verify import FiringSchedule
 
@@ -106,6 +107,17 @@ def test_constructs_family_json(capsys):
     assert doc["n"] == 20 and doc["k"] == 2
     assert len(doc["sets"]) == doc["m"]
     assert all(0 <= v < 20 for s in doc["sets"] for v in s)
+
+
+def test_constructs_family_is_unb2s_family(capsys):
+    # the Kautz-Singleton family unb2 runs with: q = 5, so 25 sets, not
+    # the 332 random sets of ceil(8 k^2 ln n)
+    rc = run_cli(["constructs", "--kind", "family", "--n", "100", "--k", "3"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m"] == len(doc["sets"]) == 25
+    fam = make_protocol("unb2", 100, kappa=3).family
+    assert doc["sets"] == [sorted(s) for s in fam.sets]
 
 
 def test_constructs_disperser_json(tmp_path):
@@ -218,6 +230,7 @@ def test_adversary_schedule_wrong_label_count(tmp_path, capsys):
     ["adversary", "--protocol", "mls", "--n", "0"],
     ["scaling", "--protocol", "mls", "--sizes", "8,0"],
     ["constructs", "--kind", "disperser", "--n", "0"],
+    ["constructs", "--kind", "family", "--n", "10", "--k", "0"],
 ])
 def test_nonpositive_sizes_rejected(args, capsys):
     assert_input_error(capsys, run_cli(args), "must be at least 1")

@@ -1,6 +1,7 @@
 """Channel semantics, wake scheduling, and trace plumbing."""
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -17,12 +18,16 @@ from radio_gather.engine import (
     StepRecord,
     Trace,
     Unbounded,
+    _dump_line,
+    _step_lines,
     message_from_json,
     message_to_json,
     run,
     step,
 )
 from radio_gather.trees import build_tree, from_family, make_path, make_star
+
+from test_trace_contract import LONG_CHAINS, LONG_N, N, PINNED, recorded_trace
 
 FULL = DuplexMode.FULL
 HALF = DuplexMode.HALF
@@ -449,6 +454,125 @@ def test_message_json_roundtrip():
     ]
     for m in msgs:
         assert message_from_json(message_to_json(m)) == m
+
+
+def generic_step_line(rec):
+    """The reference form of a step line: a dict per step, messages as
+    message_to_json gives them, through the sorted-key encoder."""
+    return _dump_line({
+        "kind": "step",
+        "step": rec.step,
+        "transmitters": list(rec.transmitters),
+        "receptions": {str(v): message_to_json(m) for v, m in rec.receptions.items()},
+        "collisions": list(rec.collisions),
+    })
+
+
+def assert_steps_match_reference(steps):
+    direct = _step_lines(steps)
+    reference = b"".join(generic_step_line(rec) for rec in steps)
+    if direct != reference:
+        for rec in steps:
+            assert _step_lines([rec]) == generic_step_line(rec), rec
+    # also catches a fault that only shows across records, in the
+    # writer's per-call cache of encoded messages
+    assert direct == reference
+
+
+CONTRACT_TRACES = ([("random", N, name, mode) for name, mode in sorted(PINNED)]
+                   + [(fam, LONG_N, name, mode) for fam, name, mode in sorted(LONG_CHAINS)])
+
+
+@pytest.mark.parametrize("family,n,name,mode", CONTRACT_TRACES, ids=str)
+def test_step_writer_matches_generic_encoding(family, n, name, mode):
+    trace = recorded_trace(family, n, name, mode)
+    assert_steps_match_reference(trace.steps)
+    back = Trace.from_jsonl_lines(io.BytesIO(trace.to_jsonl_bytes()))
+    assert back.steps == trace.steps
+
+
+def test_step_writer_matches_generic_encoding_on_hand_built_records():
+    shared = FireAndForward(3)
+    steps = [
+        StepRecord(0, (), {}, ()),
+        StepRecord(1, (4,), {}, ()),
+        StepRecord(2, (), {}, (7,)),
+        StepRecord(3, (5, 11), {2: Bounded(rumor=1)}, ()),
+        StepRecord(4, (1, 2), {0: Bounded(rumor=6, sender=2, height2=0, parity=0),
+                               1: Bounded(rumor=0, sender=5, height2=3, parity=1)}, ()),
+        StepRecord(5, (3, 12, 13), {10: shared, 2: shared}, (9, 40)),
+        StepRecord(6, (8,), {10: Unbounded(frozenset(), aux=(("hops", 3), ("x", 0)))}, ()),
+        StepRecord(7, (8, 9), {2: Unbounded(frozenset({5, 1, 30})),
+                               10: Unbounded(frozenset({2}), aux=(("k", -1),))}, (1,)),
+        StepRecord(123456789, (), {}, ()),
+    ]
+    assert_steps_match_reference(steps)
+    # string order, not number order: "10" sorts before "2"
+    assert _step_lines(steps[5:6]).index(b'"10"') < _step_lines(steps[5:6]).index(b'"2"')
+    assert _step_lines([]) == b""
+
+
+HEADER = (b'{"kind":"header","max_steps":9,"mode":"full","n":3,"protocol":"x",'
+          b'"recorded":true,"schema":"radio-gather-trace/1","seed":0}\n')
+SUMMARY = (b'{"collisions_total":0,"completion_step":null,"delivery":{"0":0},'
+           b'"incomplete":true,"kind":"summary","steps_executed":9}\n')
+
+
+def load_steps(*lines):
+    return Trace.from_jsonl_lines(io.BytesIO(HEADER + b"".join(lines) + SUMMARY)).steps
+
+
+def step_from_json(line):
+    obj = json.loads(line)
+    return StepRecord(
+        step=obj["step"],
+        transmitters=tuple(obj["transmitters"]),
+        receptions={int(v): message_from_json(m) for v, m in obj["receptions"].items()},
+        collisions=tuple(obj["collisions"]),
+    )
+
+
+SILENT = b'{"collisions":[],"kind":"step","receptions":{},"step":5,"transmitters":[]}\n'
+
+
+@pytest.mark.parametrize("line", [
+    SILENT,
+    SILENT.replace(b"5", b"0"),
+    SILENT.replace(b"5", b"98765432109876543210"),
+    SILENT.replace(b":[],", b": [],"),
+    SILENT.replace(b"{", b"{ ", 1),
+    SILENT.replace(b"\n", b" \n"),
+    SILENT.replace(b"\n", b"\r\n"),
+    SILENT.replace(b'"step":5', b'"step": 5'),
+    SILENT.replace(b'"step":5', b'"step":5 '),
+    SILENT.replace(b'"step":5', b'"step":5,"extra":1'),
+    SILENT.replace(b'"kind":"step"', b'"extra":[1],"kind":"step"'),
+    SILENT.replace(b'"step":5', b'"step":-1'),
+    SILENT.replace(b'"step":5', b'"step":5.0'),
+    SILENT.replace(b'"step":5', b'"step":5e0'),
+    SILENT.replace(b"[]}", b"[3]}"),
+], ids=repr)
+def test_reader_near_silent_lines_load_as_json_reads_them(line):
+    assert load_steps(line) == [step_from_json(line)]
+    assert load_steps(line, b"\n", line) == [step_from_json(line)] * 2
+
+
+@pytest.mark.parametrize("line", [
+    SILENT.replace(b'"step":5', b'"step":05'),
+    SILENT.replace(b'"step":5', b'"step":'),
+    SILENT.replace(b'"step":5', b'"step":\xd9\xa5'),  # an Arabic-Indic digit
+])
+def test_reader_rejects_what_json_rejects(line):
+    with pytest.raises(ValueError):
+        json.loads(line)
+    with pytest.raises(ValueError):
+        load_steps(line)
+
+
+def test_reader_silent_line_without_newline():
+    line = SILENT.rstrip(b"\n")
+    trace = Trace.from_jsonl_lines(io.BytesIO(HEADER + SUMMARY + line))
+    assert trace.steps == [StepRecord(5, (), {}, ())]
 
 
 def test_trace_rejects_unknown_schema():

@@ -7,6 +7,12 @@ The hashes were computed before the step-keyed wake queue and the
 duty-beat ladder sleeps went in, from the engine that woke ladder nodes
 at every step, so they pin that those changes left every byte alone.
 A change that alters a trace on purpose must say why and re-pin here.
+
+LONG_CHAINS pins mls and rtree on path and caterpillar trees of 128
+nodes (tree seed and run seed 100), where most transmissions forward
+what arrived one step earlier.  Those hashes were computed before
+fire-and-forward states began forwarding the received message object
+and before the step lines were written without the generic encoder.
 """
 import hashlib
 import math
@@ -37,12 +43,36 @@ PINNED = {
     ("rtree", "half"): "11297221aeb310f697f6dad87bffeb64fbbe52267b4c9a274a3ef01c3b00d011",
 }
 
+LONG_N = 128
+
+LONG_CHAINS = {
+    ("path", "mls", "full"): "9d1362bd9da39aae85c6e61125748370451d0c042a16acd62992241dca1962cd",
+    ("path", "mls", "half"): "5c2c0c50ab4746148d4f48246d83613bdcd383826ad427be9ebebaa9a0c16e7b",
+    ("path", "rtree", "full"): "2208a3e529e6bb9f15411c084ff732578e7660ff28d88ca00d9c29aa07f0a0b5",
+    ("path", "rtree", "half"): "a0f398bc59252a6b09b1d082cfdb43fe41cf18bb74f441eadecf386f3eb5d01e",
+    ("caterpillar", "mls", "full"): "ada62d7d7587c05f88db302770bd412f0891439e907802a30d39df5fff0ed07d",
+    ("caterpillar", "mls", "half"): "4f96ea71cd993ad911564a143904823b4610835ac1e4d22b24c9188aa9bd4a24",
+    ("caterpillar", "rtree", "full"): "20d116251fd5828ed5db2c33c4e8098f0c17e8347824a595c83bd93c489a822b",
+    ("caterpillar", "rtree", "half"): "a2c0bf70d5ac9c4861ec58db0658b14b16892559864cfcaedf237af7df6e5598",
+}
+
+
+def recorded_trace(family, n, name, mode):
+    tree = from_family(family, n, SEED)
+    duplex = DuplexMode(mode)
+    proto = make_protocol(name, n, duplex)
+    cap = proto.horizon if proto.horizon is not None else math.ceil(8 * n * math.log(n))
+    return run(tree, proto, duplex, max_steps=cap, seed=SEED, record_steps=True)
+
 
 @pytest.mark.parametrize("name,mode", sorted(PINNED), ids=lambda x: x)
 def test_trace_bytes_pinned(name, mode):
-    tree = from_family("random", N, SEED)
-    duplex = DuplexMode(mode)
-    proto = make_protocol(name, N, duplex)
-    cap = proto.horizon if proto.horizon is not None else math.ceil(8 * N * math.log(N))
-    trace = run(tree, proto, duplex, max_steps=cap, seed=SEED, record_steps=True)
+    trace = recorded_trace("random", N, name, mode)
     assert hashlib.sha256(trace.to_jsonl_bytes()).hexdigest() == PINNED[(name, mode)]
+
+
+@pytest.mark.parametrize("family,name,mode", sorted(LONG_CHAINS), ids=lambda x: x)
+def test_long_chain_trace_bytes_pinned(family, name, mode):
+    trace = recorded_trace(family, LONG_N, name, mode)
+    digest = hashlib.sha256(trace.to_jsonl_bytes()).hexdigest()
+    assert digest == LONG_CHAINS[(family, name, mode)]
