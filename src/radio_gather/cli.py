@@ -271,11 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, protocol=True):
+    def common(sp, protocol=True, seed=True):
         if protocol:
             sp.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
-        sp.add_argument("--seed", type=int, default=seed_default,
-                        help="default from RADIO_GATHER_SEED, else 0")
+        if seed:
+            sp.add_argument("--seed", type=int, default=seed_default,
+                            help="default from RADIO_GATHER_SEED, else 0")
         sp.add_argument("--duplex", choices=("full", "half"), default="full")
         sp.add_argument("--out", help="output file (default stdout/none)")
 
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constructs",
                         help="dump unb2's default selective family or mls's disperser as JSON")
-    common(sp, protocol=False)
+    common(sp, protocol=False, seed=False)
     sp.add_argument("--kind", required=True, choices=("family", "disperser"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, help="family selectivity (default cube root of n)")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("adversary",
                         help="extract a firing schedule and hunt a caterpillar witness")
-    common(sp, protocol=False)
+    common(sp, protocol=False, seed=False)
     sp.add_argument("--protocol", choices=PROTOCOL_NAMES, default="mls")
     sp.add_argument("--n", type=int)
     sp.add_argument("--schedule", help="skip extraction, read this schedule JSON")

@@ -249,30 +249,51 @@ def build_selective_family(n: int, k: int, seed: int = 0) -> SelectiveFamily:
 def verify_selective_family(fam: SelectiveFamily, work_budget: int = 2_000_000) -> bool:
     """Exhaustive check over all X with |X| <= k.
 
-    Uses per-element membership bitmasks so each (X, x) pair costs one
-    mask operation.  Guarded by a pair-count budget since the candidate
-    count explodes combinatorially.
+    Only the largest sets, |X| = r = min(k, n), need testing.  If no
+    F_j meets X exactly in {x}, none meets a superset X' of X exactly
+    in {x} either (F_j & X' = {x} would give F_j & X = {x}), and every
+    smaller X lies inside some set of size r.  So each (r-1)-set Y is
+    tested against every x outside it: x is isolated from Y iff its
+    membership mask has a bit outside the union of Y's masks.  The
+    masks are packed into uint64 words and the Y taken in chunks, so
+    temporaries stay under about a megabyte.  Guarded by the count of
+    all (X, x) pairs with |X| <= k, since that explodes combinatorially.
     """
     n, k = fam.n, fam.k
     pairs = sum(math.comb(n, i) * i for i in range(1, min(k, n) + 1))
     if pairs > work_budget:
         raise ParametersTooLarge(
             f"{pairs} (X, x) pairs exceed the budget of {work_budget}")
-    mask = [0] * n
-    for j, s in enumerate(fam.sets):
-        bit = 1 << j
-        for x in s:
-            mask[x] |= bit
-    for size in range(1, min(k, n) + 1):
-        for X in itertools.combinations(range(n), size):
-            for x in X:
-                others = 0
-                for y in X:
-                    if y != x:
-                        others |= mask[y]
-                if mask[x] & ~others == 0:
-                    return False
-    return True
+    r = min(k, n)
+    if r < 1:
+        return True
+    sets = fam.sets
+    words = max(1, -(-len(sets) // 64))
+    member = np.zeros((n, 64 * words), dtype=bool)
+    member[np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp),
+           np.repeat(np.arange(len(sets)), [len(s) for s in sets])] = True
+    masks = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
+    if r == 1:
+        return bool(masks.any(axis=1).all())
+    by_word = masks.T.copy()
+    chunk = max(1, (1 << 20) // (8 * (2 * n + (r - 1) * words)))
+    combos = itertools.combinations(range(n), r - 1)
+    while True:
+        ys = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, chunk)),
+                         dtype=np.intp).reshape(-1, r - 1)
+        if not len(ys):
+            return True
+        outside = ~np.bitwise_or.reduce(masks[ys], axis=1)
+        # left[c, x]: the bits of x's mask outside Y_c, OR-ed over words
+        left = np.zeros((len(ys), n), dtype=np.uint64)
+        part = np.empty_like(left)
+        for w in range(words):
+            np.bitwise_and(by_word[w], outside[:, w, None], out=part)
+            left |= part
+        isolated = left != 0
+        isolated[np.arange(len(ys))[:, None], ys] = True  # x ranges outside Y
+        if not isolated.all():
+            return False
 
 
 def build_verified_selective_family(

@@ -56,7 +56,9 @@ class FiringSchedule:
     def from_json(cls, text: str) -> "FiringSchedule":
         """Parse a schedule document; anything malformed raises
         ScheduleError: bad JSON, missing keys, a fire list per label
-        other than n of them, or a fire that is not an integer in [0, T)."""
+        other than n of them, or a fire that is not an integer in [0, T).
+        Each label's fires become its sorted distinct steps, the set a
+        replay fires on."""
         try:
             doc = json.loads(text)
             n, T, F = doc["n"], doc["T"], doc["F"]
@@ -75,7 +77,7 @@ class FiringSchedule:
                 raise ScheduleError(
                     f"fires of label {label} must be integers in [0, {T})"
                 )
-        return cls(n=n, T=T, fires=tuple(tuple(sorted(f)) for f in F))
+        return cls(n=n, T=T, fires=tuple(tuple(sorted(set(f))) for f in F))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -232,11 +234,13 @@ def schedule_protocol(
     )
 
 
-def _max_matching(adj: list[list[int]], n_right: int) -> list[int | None]:
+def _max_matching(adj: list[list[int]], n_right: int) -> list[int] | None:
     """Kuhn's augmenting paths; adj[i] lists right nodes of left i.
-    Returns per-left matched right node (None if unmatched)."""
+    Returns the matched right node per left, or None as soon as some
+    left node finds no augmenting path: later augmentations only walk
+    through matched left nodes, so that node would stay unmatched."""
     match_right: list[int | None] = [None] * n_right
-    match_left: list[int | None] = [None] * len(adj)
+    match_left: list[int] = [0] * len(adj)
 
     def augment(i: int, seen: set[int]) -> bool:
         for r in adj[i]:
@@ -250,7 +254,8 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int | None]:
         return False
 
     for i in range(len(adj)):
-        augment(i, set())
+        if not augment(i, set()):
+            return None
     return match_left
 
 
@@ -289,31 +294,57 @@ def find_caterpillar_witness(sched: FiringSchedule) -> CaterpillarWitness | None
     firings to distinct blockers kills every attempt; remaining labels
     sit at position 0 where their fires only add collisions.  Every
     candidate is re-verified by simulation before being returned.
+
+    Each label's fires are indexed once, sorted and deduplicated, as
+    one sorted array of keys u * span + step - lo.  For one victim a
+    single searchsorted over that array finds, for every (firing t,
+    label u) at once, u's first fire at or after t; u can block t iff
+    that fire lies in [t, t + n - 1], and its offset from t is the
+    blocker's spine position.  Victims are tried in label order, their
+    firings in schedule order (a repeated step counts once), and a
+    victim with a firing that nobody can block is passed over without
+    matching.
     """
     n = sched.n
     if n < 2:
         return None
     window = n - 1
+    steps = [sorted(set(f)) for f in sched.fires]
+    every = [t for f in steps for t in f]
+    lo, hi = min(every, default=0), max(every, default=0)
+    span = hi - lo + window + 1
+    # base[u] + t is the key of step t of label u; keys rise with (u, t).
+    # Past u's last fire the search lands on a later label's key, which
+    # reads as a step of at least span + lo > t + window; the closing
+    # key (step lo of a label n) does the same at the end of the array.
+    base = np.arange(n, dtype=np.int64) * span - lo
+    keys = np.array([b + t for b, f in zip(base.tolist(), steps) for t in f]
+                    + [n * span], dtype=np.int64)
     for victim in range(n):
-        fw = sched.fires[victim]
-        others = [u for u in range(n) if u != victim]
-        adj = []
-        for t in fw:
-            row = []
-            for idx, u in enumerate(others):
-                if any(t <= tp <= t + window for tp in sched.fires[u]):
-                    row.append(idx)
-            adj.append(row)
-        matched = _max_matching(adj, len(others))
-        if any(m is None for m in matched):
+        fw = list(dict.fromkeys(sched.fires[victim]))
+        t = np.array(fw, dtype=np.int64)
+        # first[u, i]: u's first fire at or after fw[i].  Label-major:
+        # for sorted fires the queries ascend, which the search exploits.
+        q = base[:, None] + t
+        first = keys[np.searchsorted(keys, q.ravel()).reshape(q.shape)] - base[:, None]
+        blocks = first <= t + window
+        blocks[victim] = False
+        width = np.count_nonzero(blocks, axis=0)
+        if not width.all():
+            continue
+        # adj[i]: the labels that can block fw[i], in label order
+        labels = np.nonzero(blocks.T)[1].tolist()
+        ends = np.cumsum(width).tolist()
+        adj = [labels[a:b] for a, b in zip([0] + ends, ends)]
+        matched = _max_matching(adj, n)
+        if matched is None:
             continue
         offsets = [0] * n
         pairs = []
-        for t, idx in zip(fw, matched):
-            u = others[idx]
-            tp = min(tp for tp in sched.fires[u] if t <= tp <= t + window)
-            offsets[u] = tp - t
-            pairs.append((t, u, tp - t))
+        for i, (t0, u) in enumerate(zip(fw, matched)):
+            s = int(first[u, i]) - t0
+            offsets[u] = s
+            pairs.append((t0, u, s))
         tree = make_caterpillar(n, offsets)
         if _verify_witness(sched, victim, tree):
             return CaterpillarWitness(

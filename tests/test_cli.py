@@ -177,6 +177,19 @@ def test_seed_env_default(monkeypatch, capsys):
     assert "seed 7" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [
+    ["constructs", "--seed", "3", "--kind", "family", "--n", "10"],
+    ["adversary", "--seed", "3", "--protocol", "mls", "--n", "4"],
+])
+def test_seed_refused_where_nothing_reads_it(args, capsys):
+    # constructs prints deterministic objects and adversary searches a
+    # fixed schedule, so neither takes a seed
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_unknown_protocol_rejected_at_parse():
     with pytest.raises(SystemExit):
         run_cli(["run", "--protocol", "nope", "--tree", "path", "--n", "4"])

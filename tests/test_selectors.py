@@ -240,15 +240,41 @@ def test_kautz_singleton_sizes_below_n():
 
 
 def test_verifier_matches_brute_force():
+    # the verifier tests only |X| = min(k, n); the oracle tests every
+    # size, so this also checks the superset argument behind that
     rng = np.random.default_rng(7)
-    for trial in range(20):
-        n = int(rng.integers(3, 10))
-        k = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 12))
-        sets = [frozenset(int(x) for x in np.flatnonzero(rng.random(n) < 0.4))
+    seen = {"k > n": 0, "k = 4": 0, "empty set": 0, "unused element": 0,
+            "over 64 sets": 0, True: 0, False: 0}
+    for trial in range(600):
+        n = int(rng.integers(1, 10))
+        k = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 14))
+        density = rng.choice([0.2, 0.4, 0.6])
+        sets = [set(int(x) for x in np.flatnonzero(rng.random(n) < density))
                 for _ in range(m)]
-        fam = SelectiveFamily(n=n, k=k, m=m, sets=tuple(sets))
-        assert verify_selective_family(fam) == brute_selective(fam)
+        if trial % 3 == 0:
+            sets += [{x} for x in range(n) if rng.random() < 0.7]
+        if trial % 5 == 0:
+            sets.append(set())
+        if trial % 7 == 0:
+            gone = int(rng.integers(0, n))
+            sets = [s - {gone} for s in sets]
+        if trial % 4 == 1:
+            # whole-set padding isolates nothing once |X| >= 2, so the
+            # deciding sets sit in a second or third 64-bit word
+            sets = [set(range(n))] * int(rng.integers(60, 140)) + sets
+        fam = SelectiveFamily(n=n, k=k, m=len(sets),
+                              sets=tuple(frozenset(s) for s in sets))
+        got = verify_selective_family(fam)
+        assert got == brute_selective(fam), (n, k, sets)
+        seen[True] += got
+        seen[False] += not got
+        seen["k > n"] += k > n
+        seen["k = 4"] += k == 4
+        seen["empty set"] += any(not s for s in sets)
+        seen["unused element"] += len(set().union(*sets)) < n
+        seen["over 64 sets"] += len(sets) > 64
+    assert min(seen.values()) >= 50, seen
 
 
 def test_verifier_rejects_non_selective():

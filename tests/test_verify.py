@@ -134,6 +134,122 @@ def test_witness_none_for_disperser_schedule():
     assert find_caterpillar_witness(sched) is None
 
 
+def test_schedule_json_normalises_fires():
+    sched = FiringSchedule.from_json('{"n": 3, "T": 9, "F": [[4, 1, 4], [], [8, 0]]}')
+    assert sched.fires == ((1, 4), (), (0, 8))
+
+
+def test_witness_despite_repeated_fire_step():
+    # a replay fires on the set of steps, so step 1 listed twice is one
+    # firing, which label 1 blocks from spine offset 1
+    text = '{"n":3,"T":6,"F":[[1,1],[2],[5]]}'
+    parsed = FiringSchedule.from_json(text)
+    listed_twice = FiringSchedule(n=3, T=6, fires=((1, 1), (2,), (5,)))
+    for sched in (parsed, listed_twice):
+        w = find_caterpillar_witness(sched)
+        assert w is not None
+        assert (w.victim, w.pairs, w.offsets) == (0, ((1, 1, 1),), (0, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the witness search against the scan it replaced
+
+
+def reference_witness(sched):
+    """The plain scan: for each victim and each of its firings, test
+    every fire of every other label, then match with Kuhn's algorithm
+    and re-verify by simulation.  About n^2 f^2 work for f fires per
+    label, so only small schedules go through it."""
+
+    def max_matching(adj, n_right):
+        match_right = [None] * n_right
+        match_left = [None] * len(adj)
+
+        def augment(i, seen):
+            for r in adj[i]:
+                if r in seen:
+                    continue
+                seen.add(r)
+                if match_right[r] is None or augment(match_right[r], seen):
+                    match_right[r] = i
+                    match_left[i] = r
+                    return True
+            return False
+
+        for i in range(len(adj)):
+            augment(i, set())
+        return match_left
+
+    n = sched.n
+    if n < 2:
+        return None
+    window = n - 1
+    for victim in range(n):
+        fw = sched.fires[victim]
+        others = [u for u in range(n) if u != victim]
+        adj = []
+        for t in fw:
+            adj.append([idx for idx, u in enumerate(others)
+                        if any(t <= tp <= t + window for tp in sched.fires[u])])
+        matched = max_matching(adj, len(others))
+        if any(m is None for m in matched):
+            continue
+        offsets = [0] * n
+        pairs = []
+        for t, idx in zip(fw, matched):
+            u = others[idx]
+            tp = min(tp for tp in sched.fires[u] if t <= tp <= t + window)
+            offsets[u] = tp - t
+            pairs.append((t, u, tp - t))
+        tree = trees.make_caterpillar(n, offsets)
+        trace = run(tree, schedule_protocol(sched, n_total=tree.n), FULL,
+                    max_steps=sched.T + 2 * n, stop_early=False)
+        if victim not in trace.delivery:
+            return victim, tuple(pairs), tuple(offsets)
+    return None
+
+
+def witness_key(sched):
+    w = find_caterpillar_witness(sched)
+    return None if w is None else (w.victim, w.pairs, w.offsets)
+
+
+def random_multi_fire_schedule(rng):
+    # distinct steps per label, listed in random order
+    n = int(rng.integers(2, 25))
+    T = int(rng.integers(1, 3 * n + 1))
+    fires = []
+    for _ in range(n):
+        count = int(rng.integers(1, min(4, T) + 1))
+        fires.append(tuple(int(t) for t in rng.choice(T, size=count, replace=False)))
+    return FiringSchedule(n=n, T=T, fires=tuple(fires))
+
+
+def test_witness_search_matches_scan_on_random_schedules():
+    rng = np.random.default_rng(2024)
+    unsorted = found = 0
+    for trial in range(400):
+        sched = random_multi_fire_schedule(rng)
+        got = witness_key(sched)
+        assert got == reference_witness(sched), (trial, sched)
+        unsorted += any(list(f) != sorted(f) for f in sched.fires)
+        found += got is not None
+    assert unsorted >= 200 and found >= 100
+
+
+def test_witness_search_matches_scan_on_single_firing_schedules():
+    for seed in range(40):
+        sched = single_firing_schedule(int(4 + seed % 13), seed=seed, T=2 * seed + 1)
+        assert witness_key(sched) == reference_witness(sched), seed
+
+
+@pytest.mark.parametrize("n", [16, 25, 36])
+@pytest.mark.parametrize("mode", [DuplexMode.FULL, DuplexMode.HALF])
+def test_witness_search_matches_scan_on_mls(n, mode):
+    sched = extract_schedule(make_protocol("mls", n, mode))
+    assert witness_key(sched) == reference_witness(sched)
+
+
 def test_delivery_oracle_gathers_all():
     for n in (1, 2, 9, 17):
         tree = trees.from_family("random", n, seed=n)
