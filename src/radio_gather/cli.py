@@ -28,8 +28,6 @@ from .verify import (
     find_caterpillar_witness,
 )
 
-TREE_FAMILIES = ("path", "star", "caterpillar", "kary", "random")
-
 
 class CliError(Exception):
     pass
@@ -61,12 +59,12 @@ def _env_seed() -> int:
 
 def _resolve_tree(args, seed: int | None = None):
     given = args.tree
-    if given in TREE_FAMILIES:
+    if given in trees.FAMILIES:
         if args.n is None:
             raise CliError(f"--tree {given} needs --n")
         return trees.from_family(given, args.n, seed=args.seed if seed is None else seed)
     if not os.path.exists(given):
-        raise CliError(f"{given!r} is neither a tree family {TREE_FAMILIES} nor a file")
+        raise CliError(f"{given!r} is neither a tree family {trees.FAMILIES} nor a file")
     tree = trees.load_tree(given)
     if args.n is not None and args.n != tree.n:
         raise CliError(f"--n {args.n} contradicts {given} with {tree.n} nodes")
@@ -77,22 +75,6 @@ def _default_cap(proto, n: int) -> int:
     if proto.horizon is not None:
         return proto.horizon
     return math.ceil(4 * n * math.log(max(n, 2)))
-
-
-def _claimed_bound(proto, n: int) -> float | None:
-    """Completion-step reference per protocol; None when only the
-    growth shape is claimed and a constant must be fitted."""
-    name = proto.name
-    if name in ("rr-unb", "rr-bnd"):
-        return float(n * n)
-    if name == "unb1":
-        return 4 * n * (math.log2(n) + 1) + n
-    if name == "mls":
-        d = proto.disperser
-        return float(-(-n // d.m) * (d.s + n))
-    if name == "rtree":
-        return 4 * n * math.log(max(n, 2))
-    return None
 
 
 def cmd_run(args) -> int:
@@ -159,8 +141,11 @@ def cmd_scaling(args) -> int:
                 file=sys.stderr,
             )
         mean = sum(steps) / len(steps)
-        bound = _claimed_bound(proto, n)
-        if bound is None:
+        # the reference is the step cap, except for unb2 and bnd, whose
+        # growth shape alone is claimed: a constant is fitted at the
+        # first size
+        bound = _default_cap(proto, n)
+        if args.protocol in ("unb2", "bnd"):
             model = float(n) if args.protocol == "unb2" else n * math.log2(n)
             if model <= 0:
                 raise CliError(f"scaling for {args.protocol} needs sizes >= 2")
@@ -264,7 +249,6 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = _env_seed()
     p = argparse.ArgumentParser(
         prog="radio-gather",
         description="Simulate rumor gathering on tree radio networks.",
@@ -275,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         if protocol:
             sp.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
         if seed:
-            sp.add_argument("--seed", type=int, default=seed_default,
+            sp.add_argument("--seed", type=int,
                             help="default from RADIO_GATHER_SEED, else 0")
         sp.add_argument("--duplex", choices=("full", "half"), default="full")
         sp.add_argument("--out", help="output file (default stdout/none)")
@@ -283,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="one simulation, optional JSONL trace")
     common(sp)
     sp.add_argument("--tree", required=True,
-                    help=f"one of {TREE_FAMILIES} or a tree file")
+                    help=f"one of {trees.FAMILIES} or a tree file")
     sp.add_argument("--n", type=int)
     sp.add_argument("--max-steps", type=int)
     sp.add_argument("--allow-incomplete", action="store_true",
@@ -295,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", default="64,128,256",
                     help="comma-separated n values")
     sp.add_argument("--trials", type=int, default=5)
-    sp.add_argument("--tree", default="random", choices=TREE_FAMILIES)
+    sp.add_argument("--tree", default="random", choices=trees.FAMILIES)
     sp.add_argument("--max-steps", type=int)
     sp.set_defaults(func=cmd_scaling)
 
@@ -317,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-lemmas",
                         help="structural height lemmas over random trees")
-    sp.add_argument("--seed", type=int, default=seed_default)
+    sp.add_argument("--seed", type=int,
+                    help="default from RADIO_GATHER_SEED, else 0")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--max-n", type=int, default=512)
     sp.set_defaults(func=cmd_verify_lemmas)
@@ -327,6 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # only commands that take --seed read the environment
+        if "seed" in args and args.seed is None:
+            args.seed = _env_seed()
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

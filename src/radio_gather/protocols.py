@@ -18,7 +18,6 @@ node knows, only when it looks.
 from __future__ import annotations
 
 import collections
-from typing import Any
 
 from .engine import (
     Bounded,
@@ -75,47 +74,56 @@ def _take_arrival(view, cursor: int, t: int):
     return got, cursor
 
 
-class RoundRobinFloodState(ProtocolState):
-    """Transmit every rumor gathered so far whenever the clock hits the
-    node's slot (step == label mod n).
+class UnboundedRumors(ProtocolState):
+    """The rumor set an unbounded-message state gathers and transmits.
 
     Each transmitted set is one node's whole history, so a received set
     either is already known or strictly extends what the receiver has;
     the id() cache skips re-unions of sets seen before.  The cache is
     sound only while the inbox keeps every received message, and so its
     rumor set, alive: a freed set's id could be reused by a new one.
+    The outgoing message is built once per change of the set.
     """
 
-    def __init__(self, label: int, n: int):
-        self.label = label
-        self.n = n
+    def __init__(self, label: int):
         self.rumors = {label}
-        self.asleep_until = label
-        self._cursor = 0
         self._seen: set[int] = set()
         self._msg: Unbounded | None = None
 
-    def _absorb(self, view) -> None:
-        inbox = view.inbox
-        while self._cursor < len(inbox):
-            _, msg = inbox[self._cursor]
-            self._cursor += 1
-            rs = msg.rumors
-            if id(rs) in self._seen:
-                continue
+    def _receive(self, step: int, msg: Unbounded) -> None:
+        rs = msg.rumors
+        if id(rs) not in self._seen:
             self._seen.add(id(rs))
             if not rs <= self.rumors:
                 self.rumors |= rs
                 self._msg = None
 
+    def _message(self) -> Unbounded:
+        if self._msg is None:
+            self._msg = Unbounded(frozenset(self.rumors))
+        return self._msg
+
+
+class RoundRobinFloodState(UnboundedRumors):
+    """Transmit every rumor gathered so far whenever the clock hits the
+    node's slot (step == label mod n)."""
+
+    def __init__(self, label: int, n: int):
+        super().__init__(label)
+        self.label = label
+        self.n = n
+        self.asleep_until = label
+        self._cursor = 0
+
     def act(self, view):
-        self._absorb(view)
+        inbox = view.inbox
+        while self._cursor < len(inbox):
+            self._receive(*inbox[self._cursor])
+            self._cursor += 1
         t = view.time
         if t % self.n == self.label:
             self.asleep_until = t + self.n
-            if self._msg is None:
-                self._msg = Unbounded(frozenset(self.rumors))
-            return self._msg
+            return self._message()
         self.asleep_until = t + (self.label - t) % self.n
         return None
 
@@ -168,46 +176,46 @@ class RoundRobinRelayState(ProtocolState):
         return None
 
 
-class LadderFloodState(ProtocolState):
-    """Census, then rounds of two beats; unbounded messages.
+class CensusLadderState(ProtocolState):
+    """The preprocessing unb1, unb2 and bnd share: a census, then a
+    ladder of rounds in which each node learns that its subtree is done.
 
-    Steps 0..n-1 are the census: each node transmits its own rumor at
-    the step equal to its label, which is collision-free and tells every
-    node the labels of its children.  From step n on, round s occupies
-    steps n+2s and n+2s+1.  The first beat belongs to the label s mod n,
-    the second to every active node.
+    Steps 0..n-1 are the census: each node transmits at the step equal
+    to its label, which is collision-free and tells every node the
+    labels of its children.  From step n on, round s occupies steps
+    n + beats*s .. n + beats*s + beats - 1.  A node becomes active in
+    the first round after it has heard a ladder message from every
+    child (a leaf right at the census end); until then it is dormant,
+    and only a reception wakes it.
 
-    A node becomes active in the first round after it has heard every
-    child again post-census (a leaf right at the census end), stays
-    active for n rounds, then retires for good.  Received rumor sets are
-    attributed to the child whose own label they contain; sibling
-    subtrees cannot share a rumor, so the attribution is unique.  An
-    active node sleeps from one of its duty beats to the next
-    (_next_duty), so it is not woken at steps where it stays silent.
-    Re-unions are skipped by an id() cache of rumor sets seen before,
-    as in RoundRobinFloodState, and it is sound for the same reason:
-    the inbox keeps every received message alive.
+    Subclasses say what a reception adds (_receive), which missing
+    child a ladder message comes from (_missing_sender), what they
+    transmit (_message), and their duty beats (_duties).  The beats are
+    data, built once at activation: _duties(relay) returns a standing
+    beat, the round its window ends, a few extra steps, and the step to
+    sleep until after all of them; relay is the one round of the
+    active window that the node's label owns.  An active node sleeps
+    from one duty step to the next, so it is not woken at steps where
+    it stays silent; absorbing a reception never moves them, since
+    alpha is fixed once set.
     """
 
-    beats = 2
+    beats: int
 
     def __init__(self, label: int, n: int):
         self.label = label
         self.n = n
-        self.rumors = {label}
         self.children: set[int] = set()
         self.missing: set[int] | None = None
         self.alpha: int | None = None
         self.asleep_until = label
         self._cursor = 0
-        self._seen: set[int] = set()
-        self._msg: Unbounded | None = None
 
     def _finish_census(self) -> None:
         if self.missing is None:
             self.missing = set(self.children)
             if not self.missing:
-                self.alpha = 0
+                self._activate(0)
 
     def _absorb(self, view) -> None:
         n = self.n
@@ -215,29 +223,42 @@ class LadderFloodState(ProtocolState):
         while self._cursor < len(inbox):
             step, msg = inbox[self._cursor]
             self._cursor += 1
-            rs = msg.rumors
-            if id(rs) not in self._seen:
-                self._seen.add(id(rs))
-                if not rs <= self.rumors:
-                    self.rumors |= rs
-                    self._msg = None
+            self._receive(step, msg)
             if step < n:
                 self.children.add(step)
                 continue
             self._finish_census()
             if self.alpha is not None:
                 continue
-            for c in self.missing:
-                if c in rs:
-                    self.missing.discard(c)
-                    break
-            if not self.missing:
-                self.alpha = (step - n) // self.beats + 1
+            c = self._missing_sender(msg)
+            if c is not None:
+                self.missing.discard(c)
+                if not self.missing:
+                    self._activate((step - n) // self.beats + 1)
 
-    def _message(self) -> Unbounded:
-        if self._msg is None:
-            self._msg = Unbounded(frozenset(self.rumors))
-        return self._msg
+    def _activate(self, alpha: int) -> None:
+        self.alpha = alpha
+        relay = alpha + (self.label - alpha) % self.n
+        beat, end, extras, self._after = self._duties(relay)
+        self._first = self.n + self.beats * alpha + beat
+        self._stop = self._first + self.beats * max(end - alpha, 0)
+        # extras still ahead, latest first; _x is the earliest of them
+        self._extras = sorted(extras, reverse=True)
+        self._x = -1
+
+    def _next_duty(self, u: int) -> int:
+        """First duty step >= u: the next step of the standing beat or
+        the next extra step, whichever comes first, else _after.  The
+        clock only moves forward, so extras behind u are dropped for
+        good."""
+        first = self._first
+        nxt = first if u <= first else u + (first - u) % self.beats
+        if nxt >= self._stop:
+            nxt = self._after
+        x = self._x
+        while x < u:
+            x = self._x = self._extras.pop() if self._extras else SLEEP_FOREVER
+        return x if x < nxt else nxt
 
     def act(self, view):
         t = view.time
@@ -246,14 +267,13 @@ class LadderFloodState(ProtocolState):
         # the census is closed out, or a node that last acted early
         # would mistake itself for a leaf
         self._absorb(view)
-        if t >= n:
-            self._finish_census()
         if t < n:
             if t == self.label:
                 self.asleep_until = n
                 return self._message()
             self.asleep_until = self.label if t < self.label else n
             return None
+        self._finish_census()
         if self.alpha is None:
             # dormant: some child still unheard, a reception will wake us
             self.asleep_until = SLEEP_FOREVER
@@ -265,20 +285,36 @@ class LadderFloodState(ProtocolState):
         self.asleep_until = self._next_duty(t + 1)
         return self._message()
 
-    def _next_duty(self, u: int) -> int:
-        """First step >= u (u >= n) at which this active node transmits:
-        beat 1 of every round in its window, and beat 0 of its relay
-        round.  Only the duty beats are acted on; absorbing a reception
-        never moves them, since alpha is fixed once set."""
+
+class LadderFloodState(UnboundedRumors, CensusLadderState):
+    """Census, then rounds of two beats; unbounded messages.
+
+    The census transmits the node's rumors so far.  The first beat of
+    round s belongs to the label s mod n, the second to every active
+    node; a node stays active for n rounds, then retires for good.
+    Received rumor sets are attributed to the child whose own label
+    they contain; sibling subtrees cannot share a rumor, so the
+    attribution is unique.
+    """
+
+    beats = 2
+
+    def __init__(self, label: int, n: int):
+        CensusLadderState.__init__(self, label, n)
+        UnboundedRumors.__init__(self, label)
+
+    def _missing_sender(self, msg: Unbounded) -> int | None:
+        rs = msg.rumors
+        for c in self.missing:
+            if c in rs:
+                return c
+        return None
+
+    def _duties(self, relay: int):
+        """Beat 1 of every round in the window, beat 0 of the relay
+        round."""
         n = self.n
-        s, beat = divmod(u - n, 2)
-        if s < self.alpha:
-            s, beat = self.alpha, 0
-        if s % n != self.label:
-            beat = 1
-        if s >= self.alpha + n:
-            return SLEEP_FOREVER
-        return n + 2 * s + beat
+        return 1, self.alpha + n, (n + 2 * relay,), SLEEP_FOREVER
 
 
 class SelectorLadderFloodState(LadderFloodState):
@@ -288,8 +324,8 @@ class SelectorLadderFloodState(LadderFloodState):
     Round s occupies steps n+3s .. n+3s+2: a relay beat owned by label
     s mod n, a push beat for every node inside its push window, and a
     selector beat for nodes listed in family set s mod m.  The push and
-    selector windows last m rounds from activation; the relay window
-    lasts n rounds as before.
+    selector windows last min(m, n) rounds from activation; the relay
+    window lasts n rounds as before.
 
     Horizon: a run completes by step n + 3(2n ceil(log2 n) + n) under
     any family with m >= 1 sets, in either duplex mode.  The proof uses
@@ -329,43 +365,34 @@ class SelectorLadderFloodState(LadderFloodState):
         self.sets = sets
         self.m = len(sets)
 
-    def _next_duty(self, u: int) -> int:
-        """Inside the push window (the first min(m, n) active rounds) the
-        duty beats are the relay beat of the relay round, every push beat
-        and the selector beats of rounds whose set lists the label; after
-        it only the relay beat is left."""
-        n = self.n
-        s, beat = divmod(u - n, 3)
-        if s < self.alpha:
-            s, beat = self.alpha, 0
-        push_end = self.alpha + min(self.m, n)
-        while s < push_end:
-            if beat == 0 and s % n == self.label:
-                return n + 3 * s
-            if beat <= 1:
-                return n + 3 * s + 1
-            if self.label in self.sets[s % self.m]:
-                return n + 3 * s + 2
-            s, beat = s + 1, 0
-        if beat:
-            s += 1
-        relay = s + (self.label - s) % n
-        if relay >= self.alpha + n:
-            return SLEEP_FOREVER
-        return n + 3 * relay
+    def _duties(self, relay: int):
+        """Inside the push window (the first min(m, n) active rounds)
+        every push beat and the selector beats of rounds whose set lists
+        the label; anywhere in the window, the relay beat.  Each set
+        index i falls on the one round alpha + (i - alpha) mod m of the
+        first m active rounds."""
+        n, m, a = self.n, self.m, self.alpha
+        push_end = a + min(m, n)
+        extras = [n + 3 * relay]
+        for i, members in enumerate(self.sets):
+            s = a + (i - a) % m
+            if s < push_end and self.label in members:
+                extras.append(n + 3 * s + 2)
+        return 1, push_end, extras, SLEEP_FOREVER
 
 
-class HeightPhaseRelayState(ProtocolState):
+class HeightPhaseRelayState(CensusLadderState):
     """Bounded-message gathering in phases ordered by 2-height.
 
-    Three stages of preprocessing share the step line with the census:
-    steps 0..n-1 are the census (own rumor at step == label), then a
-    reporting ladder of three-beat rounds runs long enough for every
-    node to learn its own 2-height: a node that has heard the heights of
-    all children takes the larger of (max child height) and, when two or
-    more children attain that max, max + 1.  Ladder reports carry the
-    sender's label as the rumor, so preprocessing also advances every
-    rumor one hop toward the root.
+    Preprocessing is the census (own rumor at step == label) and then a
+    reporting ladder of three-beat rounds, cut off at pre_rounds, long
+    enough for every node to learn its own 2-height: a node that has
+    heard the heights of all children takes the larger of (max child
+    height) and, when two or more children attain that max, max + 1.
+    An active node reports on beat 1 of every round and on all three
+    beats of its relay round.  Ladder reports carry the sender's label
+    as the rumor, so preprocessing also advances every rumor one hop
+    toward the root.
 
     After preprocessing, phase h serves exactly the nodes of 2-height h.
     Full duplex: 2n steps in which every such node streams rumors it has
@@ -380,116 +407,70 @@ class HeightPhaseRelayState(ProtocolState):
     never-relayed copy can fire.
     """
 
+    beats = 3
+
     def __init__(self, label: int, n: int, mode: DuplexMode):
-        self.label = label
-        self.n = n
+        super().__init__(label, n)
         self.half = mode is DuplexMode.HALF
         self.pre_rounds = 2 * n * ceil_log2(n) + n
         self.phase_base = n + 3 * self.pre_rounds
         self.phase_len = 6 * n if self.half else 3 * n
         self.last_phase = ceil_log2(n)
-        self.children: set[int] = set()
         self.child_heights: dict[int, int] = {}
-        self.missing: set[int] | None = None
-        self.alpha: int | None = None
         self.height2: int | None = None
         self.held = 1 << label
         self.pending = collections.deque([label])
         self.parity: int | None = None
-        self.asleep_until = label
-        self._cursor = 0
         self._relay_token_at: int | None = None
-        self._report: Bounded | None = None
+        # the census message; activation replaces it by the ladder report
+        self._report = Bounded(rumor=label, sender=label)
 
-    def _finish_census(self) -> None:
-        if self.missing is None:
-            self.missing = set(self.children)
-            if not self.missing:
-                self.height2 = 0
-                self.alpha = 0
+    def _receive(self, step: int, msg: Bounded) -> None:
+        r = msg.rumor
+        bit = 1 << r
+        if not self.held & bit:
+            self.held |= bit
+            self.pending.append(r)
+        if msg.parity is not None and self.height2 is not None:
+            ph, off = divmod(step - self.phase_base, self.phase_len)
+            if ph == self.height2 and msg.height2 == self.height2 and off < self.n:
+                self.parity = 1 - msg.parity
+                self._relay_token_at = step + 1
 
-    def _set_height(self, alpha: int) -> None:
+    def _missing_sender(self, msg: Bounded) -> int | None:
+        # only a ladder report carries a height and no parity; its rumor
+        # is the sender's own label
+        r = msg.rumor
+        if msg.height2 is None or msg.parity is not None or r not in self.missing:
+            return None
+        self.child_heights[r] = msg.height2
+        return r
+
+    def _activate(self, alpha: int) -> None:
         hs = list(self.child_heights.values())
-        top = max(hs)
+        top = max(hs, default=0)
         self.height2 = top + 1 if hs.count(top) >= 2 else top
-        self.alpha = alpha
+        self._report = Bounded(rumor=self.label, sender=self.label, height2=self.height2)
+        super()._activate(alpha)
 
-    def _absorb(self, view) -> None:
+    def _duties(self, relay: int):
+        """Beat 1 of every ladder round, and beats 0 and 2 of the relay
+        round if it comes before the cut-off.  Past the ladder window
+        the node sleeps until its own height phase."""
         n = self.n
-        inbox = view.inbox
-        while self._cursor < len(inbox):
-            step, msg = inbox[self._cursor]
-            self._cursor += 1
-            r = msg.rumor
-            bit = 1 << r
-            if not self.held & bit:
-                self.held |= bit
-                self.pending.append(r)
-            if step < n:
-                self.children.add(step)
-                continue
-            if step < self.phase_base:
-                self._finish_census()
-                if self.height2 is None and r in self.missing:
-                    # a ladder report's rumor is the sender's own label
-                    self.missing.discard(r)
-                    self.child_heights[r] = msg.height2
-                    if not self.missing:
-                        self._set_height((step - n) // 3 + 1)
-                continue
-            if msg.parity is not None and self.height2 is not None:
-                ph, off = divmod(step - self.phase_base, self.phase_len)
-                if ph == self.height2 and msg.height2 == self.height2 and off < n:
-                    self.parity = 1 - msg.parity
-                    self._relay_token_at = step + 1
+        end = min(self.alpha + n, self.pre_rounds)
+        extras = (n + 3 * relay, n + 3 * relay + 2) if relay < end else ()
+        return 1, end, extras, self.phase_base + self.height2 * self.phase_len
 
-    def act(self, view):
-        t = view.time
-        n = self.n
-        self._absorb(view)
-        if t >= n:
-            self._finish_census()
-        if t < n:
-            if t == self.label:
-                self.asleep_until = n
-                return Bounded(rumor=self.label, sender=self.label)
-            self.asleep_until = self.label if t < self.label else n
-            return None
-        if t < self.phase_base:
-            return self._ladder_act(t)
-        return self._phase_act(t)
-
-    def _ladder_act(self, t: int):
-        if self.alpha is None:
-            self.asleep_until = SLEEP_FOREVER
-            return None
-        duty = self._ladder_duty(t)
-        if duty > t:
-            self.asleep_until = duty
-            return None
-        self.asleep_until = self._ladder_duty(t + 1)
-        if self._report is None:
-            self._report = Bounded(
-                rumor=self.label, sender=self.label, height2=self.height2
-            )
+    def _message(self) -> Bounded:
         return self._report
 
-    def _ladder_duty(self, u: int) -> int:
-        """First step >= u at which this active node reports: beat 1 of
-        every ladder round, and all three beats of its relay round.  Past
-        the ladder window it sleeps until its own height phase."""
-        n = self.n
-        s, beat = divmod(u - n, 3)
-        if s < self.alpha:
-            s, beat = self.alpha, 0
-        if s % n != self.label:
-            if beat == 2:
-                s, beat = s + 1, 0
-            if s % n != self.label:
-                beat = 1
-        if s >= min(self.alpha + n, self.pre_rounds):
-            return self.phase_base + self.height2 * self.phase_len
-        return n + 3 * s + beat
+    def act(self, view):
+        if view.time < self.phase_base:
+            return super().act(view)
+        # the census closed at step n, when every node acts
+        self._absorb(view)
+        return self._phase_act(view.time)
 
     def _phase_act(self, t: int):
         ph, off = divmod(t - self.phase_base, self.phase_len)

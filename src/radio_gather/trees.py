@@ -208,7 +208,7 @@ def make_random_tree(n: int, seed: int) -> Tree:
     return build_tree(parents, labels=labels)
 
 
-_FAMILIES = ("path", "star", "caterpillar", "kary", "random")
+FAMILIES = ("path", "star", "caterpillar", "kary", "random")
 
 
 def from_family(family: str, n: int, seed: int = 0) -> Tree:
@@ -218,8 +218,8 @@ def from_family(family: str, n: int, seed: int = 0) -> Tree:
     exactly n nodes; caterpillar splits n into a spine of n//2 plus
     leaves at seeded offsets.
     """
-    if family not in _FAMILIES:
-        raise TreeError(f"unknown family {family!r}; pick one of {_FAMILIES}")
+    if family not in FAMILIES:
+        raise TreeError(f"unknown family {family!r}; pick one of {FAMILIES}")
     if n < 1:
         raise TreeError("n must be positive")
     if n == 1:

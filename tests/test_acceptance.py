@@ -51,7 +51,7 @@ from radio_gather.verify import (
 )
 
 FULL = DuplexMode.FULL
-FAMILIES = ("path", "star", "caterpillar", "kary", "random")
+FAMILIES = trees.FAMILIES
 SWEEP_NS = (1, 2, 16, 64, 256)
 TREE_SEED = 11
 RUN_SEED = 7

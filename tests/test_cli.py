@@ -100,6 +100,16 @@ def test_scaling_fitted_reference_anchors_first_size(tmp_path):
     assert rows[2][3] != "1.000000"
 
 
+def test_scaling_unb1_ratio_is_against_horizon(capsys):
+    rc = run_cli(["scaling", "--protocol", "unb1", "--sizes", "8,16",
+                  "--trials", "2"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    for n, mean, _, ratio in rows[1:]:
+        horizon = make_protocol("unb1", int(n)).horizon
+        assert ratio == f"{float(mean) / horizon:.6f}"
+
+
 def test_constructs_family_json(capsys):
     rc = run_cli(["constructs", "--kind", "family", "--n", "20", "--k", "2"])
     assert rc == 0
@@ -215,6 +225,16 @@ def test_seed_env_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("RADIO_GATHER_SEED", "abc")
     rc = run_cli(["run", "--protocol", "rr-bnd", "--tree", "star", "--n", "4"])
     assert_input_error(capsys, rc, "RADIO_GATHER_SEED")
+
+
+@pytest.mark.parametrize("args", [
+    ["constructs", "--kind", "family", "--n", "10", "--k", "2"],
+    ["adversary", "--protocol", "mls", "--n", "4"],
+])
+def test_seed_env_ignored_where_nothing_reads_it(monkeypatch, capsys, args):
+    monkeypatch.setenv("RADIO_GATHER_SEED", "abc")
+    assert run_cli(args) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_tree_file_non_integer_entry(tmp_path, capsys):

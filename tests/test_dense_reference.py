@@ -15,7 +15,7 @@ import pytest
 
 from radio_gather.engine import DuplexMode, NodeView, Unbounded, run, step
 from radio_gather.protocols import PROTOCOL_NAMES, make_protocol
-from radio_gather.trees import _FAMILIES, from_family
+from radio_gather.trees import FAMILIES, from_family
 
 SIZES = (2, 16, 48)
 SEED = 3
@@ -74,7 +74,7 @@ def step_cap(proto, n):
 @pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_run_matches_dense_reference(name, mode):
-    for family in _FAMILIES:
+    for family in FAMILIES:
         for n in SIZES:
             tree = from_family(family, n, seed=SEED)
             proto = make_protocol(name, n, mode)

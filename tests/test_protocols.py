@@ -295,6 +295,43 @@ def test_height_phase_transmitters_match_phase():
                     assert h2[v] == ph, (fam, mode, rec.step)
 
 
+# (acts, transmissions) on from_family("random", 256, 100), run seed 100,
+# horizon cap; measured before the three ladders shared one skeleton
+LADDER_ACTS = {
+    ("unb1", FULL): (93_659, 65_157),
+    ("unb1", HALF): (68_958, 65_157),
+    ("unb2", FULL): (50_620, 37_497),
+    ("unb2", HALF): (40_616, 37_497),
+    ("bnd", FULL): (99_272, 68_572),
+    ("bnd", HALF): (75_848, 68_827),
+}
+
+
+def test_ladder_act_counts_pinned():
+    # the dense reference catches a missed duty beat; this catches a
+    # wake that should have been slept through
+    tree = trees.from_family("random", 256, seed=100)
+    for (name, mode), want in LADDER_ACTS.items():
+        proto = make_protocol(name, 256, mode)
+        sent = []  # what each act() returned, None included
+
+        def logging(label, n, mode_, rng, factory=proto.state_factory):
+            state = factory(label, n, mode_, rng)
+
+            def act(view, inner=state.act, log=sent.append):
+                msg = inner(view)
+                log(msg)
+                return msg
+
+            state.act = act
+            return state
+
+        logged = dataclasses.replace(proto, state_factory=logging)
+        trace = run(tree, logged, mode, max_steps=proto.horizon, seed=100)
+        assert not trace.incomplete
+        assert (len(sent), len(sent) - sent.count(None)) == want, (name, mode.value)
+
+
 def test_fire_forward_schedule_adherence_on_star():
     n = 10
     tree = trees.make_star(n)

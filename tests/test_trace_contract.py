@@ -13,6 +13,12 @@ nodes (tree seed and run seed 100), where most transmissions forward
 what arrived one step earlier.  Those hashes were computed before
 fire-and-forward states began forwarding the received message object
 and before the step lines were written without the generic encoder.
+
+LADDERS pins unb1, unb2 and bnd on path, star, caterpillar and kary
+trees of 64 nodes (tree seed and run seed 100), where the census and
+ladder see chains, one wide fan-in, and both mixed.  Those hashes were
+computed before the three ladders were merged into one census-and-ladder
+skeleton whose duty beats are built once at activation.
 """
 import hashlib
 import math
@@ -56,6 +62,33 @@ LONG_CHAINS = {
     ("caterpillar", "rtree", "half"): "a2c0bf70d5ac9c4861ec58db0658b14b16892559864cfcaedf237af7df6e5598",
 }
 
+LADDERS = {
+    ("path", "unb1", "full"): "1b76d67e8a5f0b7c08f5e89c75c215e6341e26b87f7f096fbc76a7ef1df56df7",
+    ("path", "unb1", "half"): "d405209d43f2645ab5f93df9e9457b153206d8b78f17073cf68baf1c0c860e91",
+    ("path", "unb2", "full"): "7fcfcdd1afa6617f34ec864a7779f47c85184a8d6d8eb34627171094a20e3b16",
+    ("path", "unb2", "half"): "514199a40c578709414af3452fd435ec65abf2e5751fae3310b63294e4becd34",
+    ("path", "bnd", "full"): "1d56309d08ec5e9eab6cc57667e6baa9deac9f3e8ecd222ad86e02f3ada3c616",
+    ("path", "bnd", "half"): "838805ac3d2dc0a6a2841c15767a79a904ac42851a09929d48007eb0b3b68b97",
+    ("star", "unb1", "full"): "28eeb08ba4d16d0457fc1f06fdc4dac4f73d9368446ff5b96cf198c524ab555f",
+    ("star", "unb1", "half"): "cd0f3c911a34be5ae0f025e36bf7134214ba10648262c29dd30d134df03b5d46",
+    ("star", "unb2", "full"): "baaf245333e040fd070a9c5db0954ecbc80d2588c296c1eb2f614475d09d4e0c",
+    ("star", "unb2", "half"): "64cbc1ca8399ab235614f18efe3121dbaa9e77fe12198007d5c671367f0f0b5c",
+    ("star", "bnd", "full"): "f6a0edb2390d376987d01a3c4a1c34196ce997dffb5bf7bc42145e952a8c8b89",
+    ("star", "bnd", "half"): "9172150569c34e4c6e60fc495dfa216e45b81e08c2a204d381a75386c597f886",
+    ("caterpillar", "unb1", "full"): "db596071ed54dad3f866d8c9eb58cb5ea44fb6f8e7c4d27d1a103cfbd0074bc9",
+    ("caterpillar", "unb1", "half"): "265bddd067b2d774060d200adfa1e9e01fe02335e8454989f8337c96e4ab5085",
+    ("caterpillar", "unb2", "full"): "83fdc96f8c65babde88b6bef4d645015e92d67df52fcfe5e1212ac91af09ad7b",
+    ("caterpillar", "unb2", "half"): "4e55bf05784467e297a9ebeec06e4e2eb7cab1e6fc25d796a278fece04531e15",
+    ("caterpillar", "bnd", "full"): "64b00a86926545a07747f333febe1107fa1a6a2379f4a7d96f17bab83d03d83d",
+    ("caterpillar", "bnd", "half"): "89c8aa007a8324d3441aca4b3a018061db610b2dce5a7fc59708ff8a54e72bcb",
+    ("kary", "unb1", "full"): "b362a204f5e9e65658aefcdecfa16f537a4ba2cb10fd59ab223fec12186e6e47",
+    ("kary", "unb1", "half"): "322e706564987119ab59cc2210494aebc7452faa2c30f388649d0fcfa67f7196",
+    ("kary", "unb2", "full"): "b08416ad3effabcfc39377b738335934c8e1b76261c1097110ddcdd050007a3d",
+    ("kary", "unb2", "half"): "eaeeddf3c30d0f0d39d957153197bfa6bbf4d2e657b05da5f020769f80c4dfc3",
+    ("kary", "bnd", "full"): "19af49b70d46351c3b0336ff30d5b3310d931d4b253c2e547680f232250068cb",
+    ("kary", "bnd", "half"): "529c804a85e4586c869a0203af1958ff50b21bd869b45e3e299c57dde29db8ef",
+}
+
 
 def recorded_trace(family, n, name, mode):
     tree = from_family(family, n, SEED)
@@ -76,3 +109,10 @@ def test_long_chain_trace_bytes_pinned(family, name, mode):
     trace = recorded_trace(family, LONG_N, name, mode)
     digest = hashlib.sha256(trace.to_jsonl_bytes()).hexdigest()
     assert digest == LONG_CHAINS[(family, name, mode)]
+
+
+@pytest.mark.parametrize("family,name,mode", sorted(LADDERS), ids=lambda x: x)
+def test_ladder_trace_bytes_pinned(family, name, mode):
+    trace = recorded_trace(family, N, name, mode)
+    digest = hashlib.sha256(trace.to_jsonl_bytes()).hexdigest()
+    assert digest == LADDERS[(family, name, mode)]
