@@ -18,7 +18,7 @@ import numpy as np
 
 from . import trees
 from .engine import DuplexMode, run as engine_run
-from .protocols import PROTOCOL_NAMES, ceil_cbrt, default_family, make_protocol
+from .protocols import PROTOCOL_NAMES, ceil_cbrt, default_family, make_protocol, step_cap
 from .selectors import MissingSelectiveFamily, ParametersTooLarge, build_disperser
 from .verify import (
     FiringSchedule,
@@ -71,18 +71,12 @@ def _resolve_tree(args, seed: int | None = None):
     return tree
 
 
-def _default_cap(proto, n: int) -> int:
-    if proto.horizon is not None:
-        return proto.horizon
-    return math.ceil(4 * n * math.log(max(n, 2)))
-
-
 def cmd_run(args) -> int:
     tree = _resolve_tree(args)
     n = tree.n
     mode = DuplexMode(args.duplex)
     proto = make_protocol(args.protocol, n, mode)
-    cap = args.max_steps if args.max_steps is not None else _default_cap(proto, n)
+    cap = args.max_steps if args.max_steps is not None else step_cap(proto)
     trace = engine_run(
         tree, proto, mode, max_steps=cap, seed=args.seed,
         record_steps=args.out is not None,
@@ -122,7 +116,7 @@ def cmd_scaling(args) -> int:
     rows = []
     for n in sizes:
         proto = make_protocol(args.protocol, n, mode)
-        cap = args.max_steps if args.max_steps is not None else _default_cap(proto, n)
+        cap = args.max_steps if args.max_steps is not None else step_cap(proto)
         steps = []
         incomplete = 0
         for trial in range(args.trials):
@@ -144,7 +138,7 @@ def cmd_scaling(args) -> int:
         # the reference is the step cap, except for unb2 and bnd, whose
         # growth shape alone is claimed: a constant is fitted at the
         # first size
-        bound = _default_cap(proto, n)
+        bound = step_cap(proto)
         if args.protocol in ("unb2", "bnd"):
             model = float(n) if args.protocol == "unb2" else n * math.log2(n)
             if model <= 0:

@@ -5,7 +5,8 @@ transmits one message toward its parent or stays silent; a node
 receives a message exactly when exactly one of its children
 transmitted.  Two or more transmitting children collide and the parent
 hears nothing, indistinguishable from silence.  Under half duplex a
-node that transmits also hears nothing that step.
+node that transmits also hears nothing that step.  step() and run()
+resolve every slot through the one copy of this rule, _resolve().
 
 Protocol logic is supplied per node as a ProtocolState whose act()
 sees only the node's own label, the clock, and its reception history.
@@ -138,6 +139,34 @@ class Protocol:
     disperser: Any = None
 
 
+def _resolve(
+    parent: list[int], half: bool, transmitters: Mapping[int, Message]
+) -> tuple[dict[int, Message], set[int]]:
+    """The collision rule, shared by step() and run().
+
+    transmitters maps each transmitting node to its message.  Returns
+    the nodes that hear exactly one child, with what they hear, and the
+    nodes where two or more children collide.  A root's transmission
+    (its own parent) goes nowhere, but under half duplex it still
+    deafens the root.
+    """
+    first: dict[int, Message] = {}
+    collided: set[int] = set()
+    for v, msg in transmitters.items():
+        p = parent[v]
+        if p == v or p in collided:
+            continue
+        if p in first:
+            del first[p]
+            collided.add(p)
+        else:
+            first[p] = msg
+    if half:
+        for p in first.keys() & transmitters.keys():
+            del first[p]
+    return first, collided
+
+
 def step(
     tree: Tree,
     mode: DuplexMode,
@@ -151,25 +180,8 @@ def step(
     transmitted.  Collided nodes receive nothing, and under half
     duplex a transmitting node receives nothing either.
     """
-    first: dict[int, Message] = {}
-    collided: set[int] = set()
-    for v, msg in actions.items():
-        if msg is None:
-            continue
-        p = tree.parent[v]
-        if p == v:
-            continue  # root has no out-edge
-        if p in collided:
-            continue
-        if p in first:
-            del first[p]
-            collided.add(p)
-        else:
-            first[p] = msg
-    if mode is DuplexMode.HALF:
-        for p in list(first):
-            if actions.get(p) is not None:
-                del first[p]
+    transmitters = {v: msg for v, msg in actions.items() if msg is not None}
+    first, collided = _resolve(tree.parent, mode is DuplexMode.HALF, transmitters)
     return first, frozenset(collided)
 
 
@@ -477,7 +489,6 @@ def run(
     due = list(queue)
     heapq.heapify(due)
     heappush, heappop = heapq.heappush, heapq.heappop
-    keep = recorded is not None or observer is not None  # receptions wanted
 
     t = 0
     while t < max_steps and not (stop_early and completion is not None):
@@ -527,32 +538,8 @@ def run(
                 else:
                     bucket.append(v)
 
-        if not transmitters:
-            if recorded is not None:
-                recorded.append(StepRecord(t, (), {}, ()))
-            if observer is not None:
-                observer(t, states, transmitters, {}, frozenset())
-            t += 1
-            continue
-
-        first: dict[int, Message] = {}
-        collided: set[int] = set()
-        for v, msg in transmitters.items():
-            p = parent[v]
-            if p in collided:
-                continue
-            if p in first:
-                del first[p]
-                collided.add(p)
-            else:
-                first[p] = msg
-
-        receptions: dict[int, Message] = {}
-        for p, msg in first.items():
-            if half and p in transmitters:
-                continue
-            if keep:
-                receptions[p] = msg
+        receptions, collided = _resolve(parent, half, transmitters)
+        for p, msg in receptions.items():
             views[p].inbox.append((t, msg))
             if p == root:
                 if mkind is Unbounded:

@@ -18,6 +18,7 @@ node knows, only when it looks.
 from __future__ import annotations
 
 import collections
+import math
 
 from .engine import (
     Bounded,
@@ -759,3 +760,11 @@ def make_protocol(
             needs_rng=True,
         )
     raise ValueError(f"unknown protocol {name!r}; choose from {PROTOCOL_NAMES}")
+
+
+def step_cap(proto: Protocol) -> int:
+    """The step budget for a run of proto: its horizon, or else
+    ceil(8 n ln max(n, 2)) for rtree, which guarantees nothing."""
+    if proto.horizon is not None:
+        return proto.horizon
+    return math.ceil(8 * proto.n * math.log(max(proto.n, 2)))

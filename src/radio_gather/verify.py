@@ -28,7 +28,7 @@ from .engine import (
     Unbounded,
     run,
 )
-from .protocols import ScheduledFireForwardState, make_protocol
+from .protocols import ScheduledFireForwardState
 from .trees import Tree, make_caterpillar
 
 
@@ -354,16 +354,6 @@ def find_caterpillar_witness(sched: FiringSchedule) -> CaterpillarWitness | None
                 tree=tree,
             )
     return None
-
-
-def delivery_oracle(tree: Tree) -> dict[int, int]:
-    """Reference delivery map for a tree: the collision-free round-robin
-    relay, which provably gathers everything within n*n steps."""
-    proto = make_protocol("rr-bnd", tree.n)
-    trace = run(tree, proto, DuplexMode.FULL, max_steps=tree.n * tree.n + tree.n)
-    if trace.incomplete:
-        raise AssertionError("round-robin relay failed to gather; engine broken")
-    return dict(trace.delivery)
 
 
 # ---------------------------------------------------------------------------

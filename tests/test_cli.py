@@ -8,7 +8,7 @@ import pytest
 
 from radio_gather.cli import main
 from radio_gather.engine import Trace
-from radio_gather.protocols import make_protocol
+from radio_gather.protocols import make_protocol, step_cap
 from radio_gather.trees import make_random_tree, save_tree
 from radio_gather.verify import FiringSchedule
 
@@ -45,6 +45,14 @@ def test_run_incomplete_exit_code(capsys):
     assert run_cli(args) == 1
     assert "INCOMPLETE" in capsys.readouterr().out
     assert run_cli(args + ["--allow-incomplete"]) == 0
+
+
+def test_run_rtree_completes_within_step_cap(capsys):
+    # ceil(4 n ln n) = 5679 steps stopped this run one rumor short
+    rc = run_cli(["run", "--protocol", "rtree", "--tree", "path", "--n", "256",
+                  "--seed", "7"])
+    assert rc == 0
+    assert "complete at step 7157" in capsys.readouterr().out
 
 
 def test_run_reads_tree_file(tmp_path, capsys):
@@ -108,6 +116,16 @@ def test_scaling_unb1_ratio_is_against_horizon(capsys):
     for n, mean, _, ratio in rows[1:]:
         horizon = make_protocol("unb1", int(n)).horizon
         assert ratio == f"{float(mean) / horizon:.6f}"
+
+
+def test_scaling_rtree_ratio_is_against_step_cap(capsys):
+    rc = run_cli(["scaling", "--protocol", "rtree", "--sizes", "8,16",
+                  "--trials", "2"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    for n, mean, _, ratio in rows[1:]:
+        cap = step_cap(make_protocol("rtree", int(n)))
+        assert ratio == f"{float(mean) / cap:.6f}"
 
 
 def test_constructs_family_json(capsys):

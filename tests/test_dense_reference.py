@@ -2,19 +2,19 @@
 
 dense_run() calls every non-root node at every step and resolves each
 slot with the pure channel op engine.step(), so it shares no scheduling
-code with engine.run().  Alongside, it keeps the step at which run()
+code with engine.run().  It does share the collision resolver, which
+step() and run() both call; the rule itself is pinned by step()'s unit
+tests in test_engine.py.  Alongside, it keeps the step at which run()
 would next wake each node (its sleep promise, pulled forward to t+1 by
 a reception at t) and asserts that the node returns None at every step
 before it.  A broken promise then fails at the node that made it,
 rather than showing up later as a trace difference.
 """
-import math
-
 import numpy as np
 import pytest
 
 from radio_gather.engine import DuplexMode, NodeView, Unbounded, run, step
-from radio_gather.protocols import PROTOCOL_NAMES, make_protocol
+from radio_gather.protocols import PROTOCOL_NAMES, make_protocol, step_cap
 from radio_gather.trees import FAMILIES, from_family
 
 SIZES = (2, 16, 48)
@@ -65,12 +65,6 @@ def dense_run(tree, proto, mode, max_steps, seed):
     return records, delivery, completion
 
 
-def step_cap(proto, n):
-    if proto.horizon is not None:
-        return proto.horizon
-    return max(1, math.ceil(8 * n * math.log(max(n, 2))))
-
-
 @pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_run_matches_dense_reference(name, mode):
@@ -78,7 +72,7 @@ def test_run_matches_dense_reference(name, mode):
         for n in SIZES:
             tree = from_family(family, n, seed=SEED)
             proto = make_protocol(name, n, mode)
-            cap = step_cap(proto, n)
+            cap = step_cap(proto)
             trace = run(tree, proto, mode, max_steps=cap, seed=SEED, record_steps=True)
             records, delivery, completion = dense_run(tree, proto, mode, cap, SEED)
             where = f"{name} {mode.value} {family} n={n}"

@@ -20,6 +20,7 @@ from radio_gather.protocols import (
     ceil_cbrt,
     ceil_log2,
     make_protocol,
+    step_cap,
 )
 from radio_gather.selectors import (
     MissingSelectiveFamily,
@@ -369,11 +370,10 @@ def test_fire_forward_disperser_binding():
 
 def test_random_fire_forward_gathers():
     for n in (2, 5, 9, 16):
-        cap = math.ceil(8 * n * math.log(n))
+        proto = make_protocol("rtree", n)
         for fam in ("path", "star", "random"):
             tree = trees.from_family(fam, n, seed=n)
-            proto = make_protocol("rtree", n)
-            trace = run(tree, proto, FULL, max_steps=cap, seed=7)
+            trace = run(tree, proto, FULL, max_steps=step_cap(proto), seed=7)
             assert_complete(tree, trace)
 
 

@@ -2,7 +2,8 @@
 
 Each hash is the sha256 of Trace.to_jsonl_bytes() for a recorded run
 (record_steps=True) on from_family("random", 64, 100) with run seed 100
-and max_steps the protocol's horizon, or ceil(8 n ln n) for rtree.
+and max_steps = protocols.step_cap: the protocol's horizon, or
+ceil(8 n ln n) for rtree.
 The hashes were computed before the step-keyed wake queue and the
 duty-beat ladder sleeps went in, from the engine that woke ladder nodes
 at every step, so they pin that those changes left every byte alone.
@@ -21,12 +22,11 @@ computed before the three ladders were merged into one census-and-ladder
 skeleton whose duty beats are built once at activation.
 """
 import hashlib
-import math
 
 import pytest
 
 from radio_gather.engine import DuplexMode, run
-from radio_gather.protocols import make_protocol
+from radio_gather.protocols import make_protocol, step_cap
 from radio_gather.trees import from_family
 
 N = 64
@@ -94,8 +94,7 @@ def recorded_trace(family, n, name, mode):
     tree = from_family(family, n, SEED)
     duplex = DuplexMode(mode)
     proto = make_protocol(name, n, duplex)
-    cap = proto.horizon if proto.horizon is not None else math.ceil(8 * n * math.log(n))
-    return run(tree, proto, duplex, max_steps=cap, seed=SEED, record_steps=True)
+    return run(tree, proto, duplex, max_steps=step_cap(proto), seed=SEED, record_steps=True)
 
 
 @pytest.mark.parametrize("name,mode", sorted(PINNED), ids=lambda x: x)

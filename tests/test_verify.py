@@ -12,7 +12,6 @@ from radio_gather.verify import (
     IntervalScheme,
     NotOblivious,
     ScheduleError,
-    delivery_oracle,
     extract_schedule,
     find_caterpillar_witness,
     iid_all_success,
@@ -248,14 +247,6 @@ def test_witness_search_matches_scan_on_single_firing_schedules():
 def test_witness_search_matches_scan_on_mls(n, mode):
     sched = extract_schedule(make_protocol("mls", n, mode))
     assert witness_key(sched) == reference_witness(sched)
-
-
-def test_delivery_oracle_gathers_all():
-    for n in (1, 2, 9, 17):
-        tree = trees.from_family("random", n, seed=n)
-        got = delivery_oracle(tree)
-        assert set(got) == set(range(n))
-        assert got[tree.label[tree.root]] == 0
 
 
 def test_interval_layout():
