@@ -43,10 +43,16 @@ INPUT_ERRORS = (
 )
 
 
-def _size(n: int, flag: str) -> int:
-    if n < 1:
-        raise CliError(f"{flag} must be at least 1, got {n}")
+def _size(n: int, flag: str, least: int = 1) -> int:
+    if n < least:
+        raise CliError(f"{flag} must be at least {least}, got {n}")
     return n
+
+
+def _cap(args, proto) -> int:
+    if args.max_steps is None:
+        return step_cap(proto)
+    return _size(args.max_steps, "--max-steps", least=0)
 
 
 def _env_seed() -> int:
@@ -76,7 +82,7 @@ def cmd_run(args) -> int:
     n = tree.n
     mode = DuplexMode(args.duplex)
     proto = make_protocol(args.protocol, n, mode)
-    cap = args.max_steps if args.max_steps is not None else step_cap(proto)
+    cap = _cap(args, proto)
     trace = engine_run(
         tree, proto, mode, max_steps=cap, seed=args.seed,
         record_steps=args.out is not None,
@@ -111,12 +117,13 @@ def cmd_scaling(args) -> int:
         raise CliError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
         raise CliError("--sizes is empty")
+    _size(args.trials, "--trials")
     mode = DuplexMode(args.duplex)
     fit_c = None
     rows = []
     for n in sizes:
         proto = make_protocol(args.protocol, n, mode)
-        cap = args.max_steps if args.max_steps is not None else step_cap(proto)
+        cap = _cap(args, proto)
         steps = []
         incomplete = 0
         for trial in range(args.trials):
@@ -220,6 +227,8 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    _size(args.trials, "--trials")
+    _size(args.max_n, "--max-n")
     rng = np.random.default_rng(args.seed)
     violations = 0
     for i in range(args.trials):

@@ -17,9 +17,18 @@ run() avoids touching nodes that have declared themselves idle.  A
 state's asleep_until attribute is a promise that, absent new
 receptions, act() returns None for every step strictly before it; a
 reception at step t voids the promise starting at step t+1.  The
-engine keeps a step-keyed wake queue over these promises (a dict from
-step to the nodes due then, plus a heap of its distinct steps) and
-skips provably silent stretches of the clock.
+promise does not cover standing beats the engine has taken over
+(below).  The engine keeps a step-keyed wake queue over these promises
+(a dict from step to the nodes due then, plus a heap of its distinct
+steps) and skips provably silent stretches of the clock.
+
+A state may also offer its standing beats (ProtocolState.standing).
+run() accepts by calling stand() and then sends those beats itself
+from a roster keyed by period and residue, without calling act(),
+until the node's last beat.  Each slot is still resolved over every
+transmitter, so records and observers see every beat; but a parent
+hearing again the standing message it last got is neither woken nor
+sent it, since it already holds it.
 """
 from __future__ import annotations
 
@@ -104,9 +113,17 @@ class ProtocolState:
     act() must be a pure function of the view contents: same label,
     same clock, same inbox must produce the same output regardless of
     which tree the node sits in.
+
+    standing, set after a transmission, offers its repeats: (message,
+    first, stop, period) promises that at each step first + k*period <
+    stop act() returns this very message and changes nothing else, and
+    that a parent hearing it again learns nothing new.  Such a class
+    defines stand(); only once a caller calls it does asleep_until skip
+    those steps.
     """
 
     asleep_until: int = 0
+    standing: tuple[Message, int, int, int] | None = None
 
     def act(self, view: NodeView) -> Message | None:
         raise NotImplementedError
@@ -477,6 +494,17 @@ def run(
     # comes up.  due is a heap of the queue's keys.
     wake = [0] * n
     queue: dict[int, list[int]] = {}
+    # Standing beats: roster maps (period, residue) to {node: message};
+    # stops heaps (last beat, node, roster key); offered keeps accepted
+    # messages alive, so their id()s stay unique; heard[p] is the last
+    # standing message p got.  A repeat does not wake p, but a stepwise
+    # run would still have run step hold = t + 1 for it, silently.
+    stands = any(hasattr(cls, "stand") for cls in {type(s) for s in states})
+    roster: dict[tuple[int, int], dict[int, Message]] = {}
+    stops: list[tuple[int, int, tuple[int, int]]] = []
+    offered: dict[int, Message] = {}
+    heard: dict[int, Message] = {}
+    hold = -1
     for v in range(n):
         if v == root:
             continue
@@ -492,9 +520,16 @@ def run(
 
     t = 0
     while t < max_steps and not (stop_early and completion is not None):
-        if not due:
+        if roster:
+            nxt = min(t + (res - t) % period for period, res in roster)
+            if due and due[0] < nxt:
+                nxt = due[0]
+        elif due:
+            nxt = due[0]
+        elif hold == t:
+            nxt = t
+        else:
             break
-        nxt = due[0]
         if nxt > t and observer is None:
             # nobody acts before nxt, so nothing can be received either
             target = min(nxt, max_steps)
@@ -526,6 +561,14 @@ def run(
                         f"node {v} returned {type(action).__name__}"
                     )
                 transmitters[v] = action
+                if stands and state.standing is not None:
+                    msg, first, stop, period = state.standing
+                    state.stand()
+                    offered[id(msg)] = msg
+                    last = stop - 1 - (stop - 1 - first) % period
+                    key = (period, first % period)
+                    roster.setdefault(key, {})[v] = msg
+                    heappush(stops, (last, v, key))
             na = state.asleep_until
             if na <= t:
                 na = t + 1
@@ -537,9 +580,26 @@ def run(
                     heappush(due, na)
                 else:
                     bucket.append(v)
+        if roster:
+            for (period, res), group in roster.items():
+                if t % period == res:
+                    transmitters.update(group)
+            while stops and stops[0][0] <= t:
+                _, v, key = heappop(stops)
+                group = roster[key]
+                del group[v]
+                if not group:
+                    del roster[key]
 
         receptions, collided = _resolve(parent, half, transmitters)
         for p, msg in receptions.items():
+            if stands:
+                if heard.get(p) is msg:
+                    if p != root:
+                        hold = t + 1
+                    continue
+                if id(msg) in offered:
+                    heard[p] = msg
             views[p].inbox.append((t, msg))
             if p == root:
                 if mkind is Unbounded:

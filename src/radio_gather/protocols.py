@@ -11,8 +11,9 @@ Seven protocols, selected by string name through make_protocol():
   rtree    randomized label-independent fire-and-forward
 
 Every state keeps a cursor into its inbox and absorbs new entries at
-the top of act(), so the engine's wake scheduling never changes what a
-node knows, only when it looks.
+the top of act(), so neither the engine's wake scheduling nor its
+sending of the ladders' standing beats (it leaves out repeats a parent
+already holds) changes what a node knows, only when it looks.
 """
 
 from __future__ import annotations
@@ -199,6 +200,11 @@ class CensusLadderState(ProtocolState):
     from one duty step to the next, so it is not woken at steps where
     it stays silent; absorbing a reception never moves them, since
     alpha is fixed once set.
+
+    At its first standing-beat transmission the node offers the rest
+    of that beat (ProtocolState.standing); its message is fixed by
+    then, since an active node holds all its subtree will ever send.
+    Once the engine calls stand(), the node sleeps through the beat.
     """
 
     beats: int
@@ -284,7 +290,17 @@ class CensusLadderState(ProtocolState):
             self.asleep_until = duty
             return None
         self.asleep_until = self._next_duty(t + 1)
-        return self._message()
+        msg = self._message()
+        if t == self._first:
+            self.standing = (msg, t, self._stop, self.beats)
+        return msg
+
+    def stand(self) -> None:
+        """The engine sends the standing beats from here on: empty the
+        window, so only extra steps and _after remain duties."""
+        self.standing = None
+        self._stop = self._first
+        self.asleep_until = self._next_duty(self._first + 1)
 
 
 class LadderFloodState(UnboundedRumors, CensusLadderState):

@@ -285,3 +285,23 @@ def test_adversary_schedule_wrong_label_count(tmp_path, capsys):
 ])
 def test_nonpositive_sizes_rejected(args, capsys):
     assert_input_error(capsys, run_cli(args), "must be at least 1")
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["run", "--protocol", "unb1", "--tree", "path", "--n", "5", "--max-steps", "-1"],
+     "--max-steps must be at least 0"),
+    (["scaling", "--protocol", "unb1", "--sizes", "8", "--max-steps", "-5"],
+     "--max-steps must be at least 0"),
+    (["scaling", "--protocol", "unb1", "--sizes", "8", "--trials", "0"],
+     "--trials must be at least 1"),
+    (["verify-lemmas", "--max-n", "0"], "--max-n must be at least 1"),
+    (["verify-lemmas", "--trials", "-1"], "--trials must be at least 1"),
+])
+def test_bad_counts_rejected(args, needle, capsys):
+    assert_input_error(capsys, run_cli(args), needle)
+
+
+def test_run_max_steps_zero_is_a_cap(capsys):
+    args = ["run", "--protocol", "unb1", "--tree", "path", "--n", "5", "--max-steps", "0"]
+    assert run_cli(args) == 1
+    assert "INCOMPLETE after 0 steps" in capsys.readouterr().out

@@ -25,7 +25,8 @@ from radio_gather.engine import (
     run,
     step,
 )
-from radio_gather.trees import build_tree, from_family, make_path, make_star
+from radio_gather.protocols import PROTOCOL_NAMES, make_protocol, step_cap
+from radio_gather.trees import FAMILIES, build_tree, from_family, make_path, make_star
 
 from test_trace_contract import LONG_CHAINS, LONG_N, N, PINNED, recorded_trace
 
@@ -604,3 +605,193 @@ def test_unbounded_delivery_unpacks_rumor_sets():
     trace = run(tree, proto, FULL, max_steps=10)
     assert trace.completion_step == 3
     assert trace.delivery == {0: 0, 1: 3, 2: 3, 3: 3, 4: 3, 5: 3}
+
+
+# ------------------------------------------------------------ standing beats
+
+
+class OfferHidden(ProtocolState):
+    """Forwards act() and asleep_until only, as a timing proxy does, and
+    logs what act() returns.  The engine sees no standing offer, so it
+    calls act() for every beat."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    @property
+    def asleep_until(self):
+        return self._inner.asleep_until
+
+    def act(self, view):
+        msg = self._inner.act(view)
+        self._log(msg)
+        return msg
+
+
+def hide_offer(proto, sent):
+    """proto with each state behind OfferHidden, logging into sent."""
+    factory = proto.state_factory
+    return dataclasses.replace(
+        proto,
+        state_factory=lambda label, n, mode, rng: OfferHidden(
+            factory(label, n, mode, rng), sent.append
+        ),
+    )
+
+
+def log_acts(proto, sent, views=None):
+    """proto with each bare state's act() logged into sent, and its view
+    kept in views by label.  The state keeps its class, so the engine
+    can take its standing beats."""
+    factory = proto.state_factory
+
+    def logging(label, n, mode, rng):
+        state = factory(label, n, mode, rng)
+
+        def act(view, inner=state.act):
+            if views is not None:
+                views[view.label] = view
+            msg = inner(view)
+            sent.append(msg)
+            return msg
+
+        state.act = act
+        return state
+
+    return dataclasses.replace(proto, state_factory=logging)
+
+
+class Beacon(ProtocolState):
+    """Sends its own rumor at steps first + k*period below stop and
+    offers the beats after the first.  stop need not fall on a beat."""
+
+    def __init__(self, label):
+        self.msg = FireAndForward(label)
+        self.first = 4 * label
+        self.period = 2 + label % 3
+        self.stop = self.first + 3 * self.period + label % self.period
+        self.asleep_until = self.first
+        self.stood = False
+
+    def act(self, view):
+        t = view.time
+        off = (t - self.first) % self.period
+        beat = self.first <= t < self.stop and off == 0
+        nxt = max(self.first, t + self.period - off)
+        self.asleep_until = nxt if nxt < self.stop and not self.stood else SLEEP_FOREVER
+        if beat and t == self.first:
+            self.standing = (self.msg, t, self.stop, self.period)
+        return self.msg if beat else None
+
+    def stand(self):
+        self.standing = None
+        self.stood = True
+        self.asleep_until = SLEEP_FOREVER
+
+
+BEACON = Protocol(
+    name="beacon",
+    message_kind=FireAndForward,
+    state_factory=lambda label, n, mode, rng: Beacon(label),
+)
+
+
+@pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
+def test_standing_beacons_match_stepwise(mode):
+    # node 1 hears beacons 2 and 3, node 4 hears 5, 6 and 7, each with
+    # its own period and window, alone on some beats and colliding on
+    # others.  Beacon 2's last beat comes two steps before its stop,
+    # with silence up to beacon 5's next beat; the run ends one step
+    # after beacon 7's last repeat reaches node 4, as a stepwise run
+    # that wakes node 4 for it does
+    tree = build_tree([0, 0, 1, 1, 0, 4, 4, 4], labels=range(8))
+    bare, hidden = [], []
+    got = run(tree, log_acts(BEACON, bare), mode, max_steps=80, record_steps=True)
+    want = run(tree, hide_offer(BEACON, hidden), mode, max_steps=80, record_steps=True)
+    assert got.to_jsonl_bytes() == want.to_jsonl_bytes()
+    assert got.steps_executed < 80 and got.collisions_total > 0
+    assert len(bare) < len(hidden)
+
+
+LADDERS = ("unb1", "unb2", "bnd")
+
+
+@pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", LADDERS)
+def test_hidden_offer_gives_identical_traces(name, mode):
+    # a proxy that forwards only act() and asleep_until never calls
+    # stand(), so its states keep every beat; the traces must agree
+    bare, hidden = [], []
+    for family, n in (("random", 48), ("path", 16), ("caterpillar", 33)):
+        tree = from_family(family, n, seed=5)
+        proto = make_protocol(name, n, mode)
+        got = run(tree, log_acts(proto, bare), mode, max_steps=step_cap(proto),
+                  seed=5, record_steps=True)
+        want = run(tree, hide_offer(proto, hidden), mode, max_steps=step_cap(proto),
+                   seed=5, record_steps=True)
+        assert got.to_jsonl_bytes() == want.to_jsonl_bytes(), (family, n)
+    assert len(bare) < len(hidden)
+
+
+def test_standing_repeat_reaches_the_parent_once():
+    # on a path each parent has one child: every beat of the child's
+    # standing message is recorded as heard, but only the first enters
+    # the parent's inbox
+    n = 16
+    tree = make_path(n)
+    proto = make_protocol("unb1", n)
+    views = {}
+    trace = run(tree, log_acts(proto, [], views), FULL, max_steps=step_cap(proto),
+                record_steps=True)
+    assert not trace.incomplete
+    checked = 0
+    for c in range(n):
+        p = tree.parent[c]
+        if p == c or p == tree.root:
+            continue
+        beats = [rec.step for rec in trace.steps
+                 if rec.step >= n and (rec.step - n) % 2 == 1 and c in rec.transmitters]
+        first = trace.steps[beats[0]]
+        msg = first.receptions[p]
+        heard = [rec.step for rec in trace.steps if rec.receptions.get(p) is msg]
+        assert len(heard) >= len(beats) > 1
+        kept = [s for s, m in views[tree.label[p]].inbox if m is msg and s >= beats[0]]
+        assert kept == [beats[0]], c
+        checked += 1
+    assert checked == n - 2
+
+
+@pytest.mark.parametrize("name, mode", [("unb1", FULL), ("unb2", HALF), ("bnd", HALF)])
+def test_observer_sees_roster_transmitters(name, mode):
+    tree = from_family("random", 48, seed=2)
+    proto = make_protocol(name, 48, mode)
+    seen = []
+
+    def observe(t, states, tx, rx, collided):
+        seen.append((t, tuple(sorted(tx)), dict(rx), tuple(sorted(collided))))
+
+    watched = run(tree, proto, mode, max_steps=step_cap(proto), record_steps=True,
+                  observer=observe)
+    plain = run(tree, proto, mode, max_steps=step_cap(proto), record_steps=True)
+    assert watched.to_jsonl_bytes() == plain.to_jsonl_bytes()
+    assert seen == [(r.step, r.transmitters, r.receptions, r.collisions) for r in plain.steps]
+
+
+def summary(trace):
+    return (trace.delivery, trace.completion_step, trace.incomplete,
+            trace.collisions_total, trace.steps_executed)
+
+
+@pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_unrecorded_runs_match_recorded(name, mode):
+    # the trees of the dense reference
+    for family in FAMILIES:
+        for n in (2, 16, 48):
+            tree = from_family(family, n, seed=3)
+            proto = make_protocol(name, n, mode)
+            cap = step_cap(proto)
+            recorded = run(tree, proto, mode, max_steps=cap, seed=3, record_steps=True)
+            plain = run(tree, proto, mode, max_steps=cap, seed=3)
+            assert summary(plain) == summary(recorded), (family, n)

@@ -29,6 +29,8 @@ from radio_gather.selectors import (
     kautz_singleton_family,
 )
 
+from test_engine import hide_offer, log_acts
+
 FULL = DuplexMode.FULL
 HALF = DuplexMode.HALF
 
@@ -297,7 +299,9 @@ def test_height_phase_transmitters_match_phase():
 
 
 # (acts, transmissions) on from_family("random", 256, 100), run seed 100,
-# horizon cap; measured before the three ladders shared one skeleton
+# horizon cap, stepwise: each state sits behind a proxy that hides its
+# standing offer, so act() is called for every beat; measured before
+# the three ladders shared one skeleton
 LADDER_ACTS = {
     ("unb1", FULL): (93_659, 65_157),
     ("unb1", HALF): (68_958, 65_157),
@@ -305,6 +309,17 @@ LADDER_ACTS = {
     ("unb2", HALF): (40_616, 37_497),
     ("bnd", FULL): (99_272, 68_572),
     ("bnd", HALF): (75_848, 68_827),
+}
+
+# act() calls of the bare states on the same runs, whose standing beats
+# the engine sends itself
+LADDER_BARE_ACTS = {
+    ("unb1", FULL): 1_543,
+    ("unb1", HALF): 1_529,
+    ("unb2", FULL): 5_181,
+    ("unb2", HALF): 5_089,
+    ("bnd", FULL): 5_872,
+    ("bnd", HALF): 7_542,
 }
 
 
@@ -315,22 +330,23 @@ def test_ladder_act_counts_pinned():
     for (name, mode), want in LADDER_ACTS.items():
         proto = make_protocol(name, 256, mode)
         sent = []  # what each act() returned, None included
-
-        def logging(label, n, mode_, rng, factory=proto.state_factory):
-            state = factory(label, n, mode_, rng)
-
-            def act(view, inner=state.act, log=sent.append):
-                msg = inner(view)
-                log(msg)
-                return msg
-
-            state.act = act
-            return state
-
-        logged = dataclasses.replace(proto, state_factory=logging)
-        trace = run(tree, logged, mode, max_steps=proto.horizon, seed=100)
+        trace = run(tree, hide_offer(proto, sent), mode, max_steps=proto.horizon, seed=100)
         assert not trace.incomplete
         assert (len(sent), len(sent) - sent.count(None)) == want, (name, mode.value)
+
+
+def test_ladder_bare_act_counts_pinned():
+    # the engine's roster sends the repeats: acts fall, and the recorded
+    # transmissions are the stepwise count
+    tree = trees.from_family("random", 256, seed=100)
+    for (name, mode), (_, tx) in LADDER_ACTS.items():
+        proto = make_protocol(name, 256, mode)
+        sent = []
+        trace = run(tree, log_acts(proto, sent), mode, max_steps=proto.horizon, seed=100,
+                    record_steps=True)
+        assert not trace.incomplete
+        assert len(sent) == LADDER_BARE_ACTS[name, mode], (name, mode.value)
+        assert sum(len(rec.transmitters) for rec in trace.steps) == tx, (name, mode.value)
 
 
 def test_fire_forward_schedule_adherence_on_star():

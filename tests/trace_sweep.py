@@ -11,7 +11,7 @@ the elapsed time.  A refactor that keeps every trace byte-identical
 prints the same digest before and after.
 
 The file name has no test_ prefix, so pytest does not collect it; it
-takes about 20 s on one core.
+takes about 15 s on one core.
 """
 import hashlib
 import time
