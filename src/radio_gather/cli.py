@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -55,6 +56,27 @@ def _cap(args, proto) -> int:
     return _size(args.max_steps, "--max-steps", least=0)
 
 
+def _check_out(args) -> None:
+    """Fail at once, not after the work, when --out cannot be written.
+    Creates nothing, so a command that fails later leaves no file."""
+    path = args.out
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif os.path.exists(path):
+        err = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.exists(parent):
+        err = errno.ENOENT
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR
+    else:
+        err = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if err:
+        raise CliError(f"cannot write --out {path}: {os.strerror(err)}")
+
+
 def _env_seed() -> int:
     raw = os.environ.get("RADIO_GATHER_SEED", "0")
     try:
@@ -83,6 +105,7 @@ def cmd_run(args) -> int:
     mode = DuplexMode(args.duplex)
     proto = make_protocol(args.protocol, n, mode)
     cap = _cap(args, proto)
+    _check_out(args)
     trace = engine_run(
         tree, proto, mode, max_steps=cap, seed=args.seed,
         record_steps=args.out is not None,
@@ -118,6 +141,7 @@ def cmd_scaling(args) -> int:
     if not sizes:
         raise CliError("--sizes is empty")
     _size(args.trials, "--trials")
+    _check_out(args)
     mode = DuplexMode(args.duplex)
     fit_c = None
     rows = []
@@ -147,9 +171,10 @@ def cmd_scaling(args) -> int:
         # first size
         bound = step_cap(proto)
         if args.protocol in ("unb2", "bnd"):
-            model = float(n) if args.protocol == "unb2" else n * math.log2(n)
-            if model <= 0:
+            # at n = 1 both the model and the run are 0, so there is no fit
+            if n < 2:
                 raise CliError(f"scaling for {args.protocol} needs sizes >= 2")
+            model = float(n) if args.protocol == "unb2" else n * math.log2(n)
             if fit_c is None:
                 fit_c = mean / model
             bound = fit_c * model
@@ -168,6 +193,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_constructs(args) -> int:
     _size(args.n, "--n")
+    _check_out(args)
     if args.kind == "family":
         k = _size(args.k, "--k") if args.k is not None else ceil_cbrt(args.n)
         fam = default_family(args.n, k)
@@ -203,6 +229,7 @@ def cmd_adversary(args) -> int:
         if args.n is None:
             raise CliError("--n is required when extracting from a protocol")
         proto = make_protocol(args.protocol, _size(args.n, "--n"), DuplexMode(args.duplex))
+        _check_out(args)
         try:
             sched = extract_schedule(proto)
         except NotOblivious as exc:

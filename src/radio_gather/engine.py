@@ -29,6 +29,14 @@ until the node's last beat.  Each slot is still resolved over every
 transmitter, so records and observers see every beat; but a parent
 hearing again the standing message it last got is neither woken nor
 sent it, since it already holds it.
+
+A state class may also promise to relay (ProtocolState.forwards): a
+node that hears m at step t while its sleep promise runs past t+1 sends
+that very m at t+1 and nothing else about it changes.  run() then neither
+wakes the node nor fills its inbox; it carries m into step t+1's
+transmitters itself.  A node whose own wake falls at t+1 is woken as
+usual, so act() decides between its fire and the arrival.  The root's
+receptions only update delivery; its inbox stays empty.
 """
 from __future__ import annotations
 
@@ -94,7 +102,8 @@ class NodeView:
     """Everything a state may legally look at.
 
     inbox holds (arrival step, message) pairs in arrival order and is
-    append-only; states keep their own cursor into it.
+    append-only; states keep their own cursor into it.  It leaves out
+    the relay hops run() sends itself (ProtocolState.forwards).
     """
 
     __slots__ = ("label", "n", "time", "inbox", "own_rumor")
@@ -120,10 +129,17 @@ class ProtocolState:
     that a parent hearing it again learns nothing new.  Such a class
     defines stand(); only once a caller calls it does asleep_until skip
     those steps.
+
+    forwards, set on a class, promises that a node which hears message
+    m at step t while its sleep promise runs past t + 1 returns that
+    very m from act() at t + 1 and changes nothing else: no other state
+    moves, asleep_until included.  run() then sends the forward itself
+    and never calls act() for it, so the inbox never holds m either.
     """
 
     asleep_until: int = 0
     standing: tuple[Message, int, int, int] | None = None
+    forwards: bool = False
 
     def act(self, view: NodeView) -> Message | None:
         raise NotImplementedError
@@ -505,6 +521,9 @@ def run(
     offered: dict[int, Message] = {}
     heard: dict[int, Message] = {}
     hold = -1
+    # Relays: carry maps each node whose forward the engine sends at the
+    # next step to the message it heard (ProtocolState.forwards).
+    carry: dict[int, Message] = {}
     for v in range(n):
         if v == root:
             continue
@@ -520,7 +539,9 @@ def run(
 
     t = 0
     while t < max_steps and not (stop_early and completion is not None):
-        if roster:
+        if carry:
+            nxt = t
+        elif roster:
             nxt = min(t + (res - t) % period for period, res in roster)
             if due and due[0] < nxt:
                 nxt = due[0]
@@ -548,7 +569,7 @@ def run(
                     awake.append(v)
         awake.sort()
 
-        transmitters: dict[int, Message] = {}
+        transmitters, carry = carry, {}
         for v in awake:
             view = views[v]
             view.time = t
@@ -600,7 +621,6 @@ def run(
                     continue
                 if id(msg) in offered:
                     heard[p] = msg
-            views[p].inbox.append((t, msg))
             if p == root:
                 if mkind is Unbounded:
                     for r in msg.rumors:
@@ -609,7 +629,11 @@ def run(
                     delivery.setdefault(msg.rumor, t)
                 if completion is None and len(delivery) == n:
                     completion = max(delivery.values())
-            elif wake[p] > t + 1:
+                continue
+            if wake[p] > t + 1:
+                if states[p].forwards:
+                    carry[p] = msg
+                    continue
                 wake[p] = t + 1
                 if t + 1 < max_steps:
                     bucket = queue.get(t + 1)
@@ -618,6 +642,7 @@ def run(
                         heappush(due, t + 1)
                     else:
                         bucket.append(p)
+            views[p].inbox.append((t, msg))
 
         collisions_total += len(collided)
         if recorded is not None:

@@ -13,7 +13,10 @@ Seven protocols, selected by string name through make_protocol():
 Every state keeps a cursor into its inbox and absorbs new entries at
 the top of act(), so neither the engine's wake scheduling nor its
 sending of the ladders' standing beats (it leaves out repeats a parent
-already holds) changes what a node knows, only when it looks.
+already holds) changes what a node knows, only when it looks.  The
+fire-and-forward states keep nothing of a message but the next step's
+forward, so the engine sends the relay hops that fall between a node's
+fires itself (ProtocolState.forwards) and those never reach the inbox.
 """
 
 from __future__ import annotations
@@ -569,7 +572,11 @@ class ScheduledFireForwardState(ProtocolState):
     rumors are never stored beyond that single step.  The own-rumor
     message is built once, and a forward sends the received message
     object itself: messages are immutable, so sharing them is safe.
+    A forward between fires moves neither the fire pointer nor the
+    sleep promise, which is what ProtocolState.forwards promises.
     """
+
+    forwards = True
 
     def __init__(self, label: int, fires):
         self.own = FireAndForward(label)
@@ -606,8 +613,11 @@ class RandomFireForwardState(ProtocolState):
     Fire steps are drawn as geometric gaps, which keeps sleep intervals
     long without changing the per-step law.  Messages are shared as in
     ScheduledFireForwardState: one own-rumor message, forwards by
-    reference.
+    reference.  A forward before next_fire draws nothing and leaves
+    the sleep promise as it was, as ProtocolState.forwards promises.
     """
+
+    forwards = True
 
     def __init__(self, label: int, n: int, mode: DuplexMode, rng):
         self.own = FireAndForward(label)

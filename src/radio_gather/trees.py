@@ -309,8 +309,13 @@ def save_tree(tree: Tree, path: str) -> None:
 
 
 def load_tree(path: str) -> Tree:
-    with open(path) as fh:
-        toks = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            toks = [line.strip() for line in fh if line.strip()]
+    except OSError as exc:
+        raise TreeError(f"cannot read tree file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise TreeError(f"{path} is not a text file") from None
     if not toks:
         raise TreeError(f"{path} is empty")
     try:

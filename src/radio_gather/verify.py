@@ -55,7 +55,8 @@ class FiringSchedule:
     @classmethod
     def from_json(cls, text: str) -> "FiringSchedule":
         """Parse a schedule document; anything malformed raises
-        ScheduleError: bad JSON, missing keys, a fire list per label
+        ScheduleError: bad JSON, missing keys, n or T not an integer
+        (booleans included) or n < 1 or T < 0, a fire list per label
         other than n of them, or a fire that is not an integer in [0, T).
         Each label's fires become its sorted distinct steps, the set a
         replay fires on."""
@@ -64,8 +65,10 @@ class FiringSchedule:
             n, T, F = doc["n"], doc["T"], doc["F"]
         except (ValueError, TypeError, KeyError) as exc:
             raise ScheduleError(f"not a schedule document: {exc}") from None
-        if not isinstance(n, int) or not isinstance(T, int) or not isinstance(F, list):
+        if type(n) is not int or type(T) is not int or not isinstance(F, list):
             raise ScheduleError("schedule needs integer n and T and a list F")
+        if n < 1 or T < 0:
+            raise ScheduleError(f"schedule needs n >= 1 and T >= 0, got n = {n}, T = {T}")
         if len(F) != n:
             raise ScheduleError(
                 f"schedule lists fires for the wrong number of labels: {len(F)}, not n = {n}"
@@ -85,8 +88,14 @@ class FiringSchedule:
 
     @classmethod
     def load(cls, path: str) -> "FiringSchedule":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ScheduleError(f"cannot read schedule {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ScheduleError(f"{path} is not a text file") from None
+        return cls.from_json(text)
 
 
 def _carried(msg) -> frozenset[int]:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from radio_gather import cli
 from radio_gather.cli import main
 from radio_gather.engine import Trace
 from radio_gather.protocols import make_protocol, step_cap
@@ -305,3 +306,68 @@ def test_run_max_steps_zero_is_a_cap(capsys):
     args = ["run", "--protocol", "unb1", "--tree", "path", "--n", "5", "--max-steps", "0"]
     assert run_cli(args) == 1
     assert "INCOMPLETE after 0 steps" in capsys.readouterr().out
+
+
+# file errors at the boundaries: unreadable inputs and unwritable --out
+
+
+def test_run_tree_path_is_a_directory(tmp_path, capsys):
+    rc = run_cli(["run", "--protocol", "mls", "--tree", str(tmp_path)])
+    assert_input_error(capsys, rc, "Is a directory")
+
+
+def test_run_tree_file_not_text(tmp_path, capsys):
+    path = tmp_path / "t.tree"
+    path.write_bytes(b"\xff\xfe3\n")
+    rc = run_cli(["run", "--protocol", "mls", "--tree", str(path)])
+    assert_input_error(capsys, rc, "not a text file")
+
+
+@pytest.mark.parametrize("where, needle", [
+    ("missing.json", "No such file"),
+    (".", "Is a directory"),
+])
+def test_adversary_schedule_unreadable(tmp_path, where, needle, capsys):
+    rc = run_cli(["adversary", "--schedule", str(tmp_path / where)])
+    assert_input_error(capsys, rc, needle)
+
+
+def test_adversary_schedule_describing_nothing(tmp_path, capsys):
+    path = tmp_path / "sched.json"
+    path.write_text('{"n": 0, "T": 0, "F": []}\n')
+    rc = run_cli(["adversary", "--schedule", str(path)])
+    assert_input_error(capsys, rc, "n >= 1")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
+@pytest.mark.parametrize("args, work", [
+    (["run", "--protocol", "mls", "--tree", "path", "--n", "5"], "engine_run"),
+    (["scaling", "--protocol", "mls", "--sizes", "8", "--trials", "1"], "engine_run"),
+    (["constructs", "--kind", "family", "--n", "10"], "default_family"),
+    (["constructs", "--kind", "disperser", "--n", "10"], "build_disperser"),
+    (["adversary", "--protocol", "mls", "--n", "4"], "extract_schedule"),
+])
+@pytest.mark.parametrize("where, needle", [
+    ("no-dir/out", "No such file"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_fails_before_the_work(
+    tmp_path, monkeypatch, capsys, args, work, where, needle
+):
+    monkeypatch.setattr(cli, work, refuse)
+    out = tmp_path / where
+    rc = run_cli(args + ["--out", str(out)])
+    assert_input_error(capsys, rc, f"cannot write --out {out}: {needle}")
+
+
+@pytest.mark.parametrize("args", [
+    ["adversary", "--protocol", "rtree", "--n", "4"],
+    ["scaling", "--protocol", "unb2", "--sizes", "1", "--trials", "1"],
+])
+def test_failed_command_leaves_no_out_file(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert not out.exists()

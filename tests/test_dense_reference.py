@@ -8,7 +8,10 @@ tests in test_engine.py.  Alongside, it keeps the step at which run()
 would next wake each node (its sleep promise, pulled forward to t+1 by
 a reception at t) and asserts that the node returns None at every step
 before it.  A broken promise then fails at the node that made it,
-rather than showing up later as a trace difference.
+rather than showing up later as a trace difference.  The relay promise
+of a class that sets forwards is checked the same way: a node that
+hears m at t while its due step is past t+1 must return m itself at
+t+1 and leave asleep_until as it was.
 """
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ def dense_run(tree, proto, mode, max_steps, seed):
         states.append(proto.state_factory(tree.label[v], n, mode, rng))
         views.append(NodeView(tree.label[v], n))
     due = [max(s.asleep_until, 0) for s in states]
+    relayed = {}  # node -> (message heard at t, asleep_until then), checked at t+1
     delivery = {tree.label[root]: 0}
     completion = 0 if n == 1 else None
     records = []
@@ -43,6 +47,12 @@ def dense_run(tree, proto, mode, max_steps, seed):
                 continue
             views[v].time = t
             msg = states[v].act(views[v])
+            if v in relayed:
+                heard, slept = relayed.pop(v)
+                assert msg is heard and states[v].asleep_until == slept, (
+                    f"{proto.name}: label {tree.label[v]} did not just forward "
+                    f"at step {t} what it heard at step {t - 1}"
+                )
             if t < due[v]:
                 assert msg is None, (
                     f"{proto.name}: label {tree.label[v]} transmitted at step {t} "
@@ -55,6 +65,8 @@ def dense_run(tree, proto, mode, max_steps, seed):
         receptions, collided = step(tree, mode, actions)
         for p, msg in receptions.items():
             views[p].inbox.append((t, msg))
+            if p != root and due[p] > t + 1 and type(states[p]).forwards:
+                relayed[p] = (msg, states[p].asleep_until)
             due[p] = min(due[p], t + 1)
             if p == root:
                 for r in msg.rumors if isinstance(msg, Unbounded) else (msg.rumor,):

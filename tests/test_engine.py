@@ -27,6 +27,7 @@ from radio_gather.engine import (
 )
 from radio_gather.protocols import PROTOCOL_NAMES, make_protocol, step_cap
 from radio_gather.trees import FAMILIES, build_tree, from_family, make_path, make_star
+from radio_gather.verify import FiringSchedule, schedule_protocol
 
 from test_trace_contract import LONG_CHAINS, LONG_N, N, PINNED, recorded_trace
 
@@ -607,13 +608,14 @@ def test_unbounded_delivery_unpacks_rumor_sets():
     assert trace.delivery == {0: 0, 1: 3, 2: 3, 3: 3, 4: 3, 5: 3}
 
 
-# ------------------------------------------------------------ standing beats
+# ------------------------------------------------ standing beats and relays
 
 
 class OfferHidden(ProtocolState):
     """Forwards act() and asleep_until only, as a timing proxy does, and
-    logs what act() returns.  The engine sees no standing offer, so it
-    calls act() for every beat."""
+    logs what act() returns.  The engine sees neither a standing offer
+    nor the forwards promise, so it calls act() for every beat and
+    every relay hop."""
 
     def __init__(self, inner, log):
         self._inner = inner
@@ -643,7 +645,7 @@ def hide_offer(proto, sent):
 def log_acts(proto, sent, views=None):
     """proto with each bare state's act() logged into sent, and its view
     kept in views by label.  The state keeps its class, so the engine
-    can take its standing beats."""
+    can take its standing beats and relay hops."""
     factory = proto.state_factory
 
     def logging(label, n, mode, rng):
@@ -715,13 +717,15 @@ def test_standing_beacons_match_stepwise(mode):
 
 
 LADDERS = ("unb1", "unb2", "bnd")
+RELAYS = ("mls", "rtree")
 
 
 @pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", LADDERS)
+@pytest.mark.parametrize("name", LADDERS + RELAYS)
 def test_hidden_offer_gives_identical_traces(name, mode):
     # a proxy that forwards only act() and asleep_until never calls
-    # stand(), so its states keep every beat; the traces must agree
+    # stand() and does not promise to forward, so its states keep every
+    # beat and every relay hop; the traces must agree
     bare, hidden = [], []
     for family, n in (("random", 48), ("path", 16), ("caterpillar", 33)):
         tree = from_family(family, n, seed=5)
@@ -732,6 +736,25 @@ def test_hidden_offer_gives_identical_traces(name, mode):
                    seed=5, record_steps=True)
         assert got.to_jsonl_bytes() == want.to_jsonl_bytes(), (family, n)
     assert len(bare) < len(hidden)
+
+
+def test_relay_fire_after_an_arrival_is_silenced_stepwise():
+    # path 2 -> 1 -> 0.  Label 2 fires at 0; label 1's own fire at 1
+    # lands on the step after that arrival, so the engine wakes it and
+    # act() silences both.  Label 2 fires again at 6 while label 1
+    # sleeps past 7: the engine sends that forward at 7 itself
+    tree = build_tree([0, 0, 1], labels=range(3))
+    proto = schedule_protocol(FiringSchedule(n=3, T=8, fires=((), (1, 4), (0, 6))))
+    bare, hidden = [], []
+    got = run(tree, log_acts(proto, bare), FULL, max_steps=10, record_steps=True)
+    want = run(tree, hide_offer(proto, hidden), FULL, max_steps=10, record_steps=True)
+    assert got.to_jsonl_bytes() == want.to_jsonl_bytes()
+    assert got.delivery == {0: 0, 1: 4, 2: 7}
+    assert got.steps[0].receptions == {1: FireAndForward(2)}
+    assert got.steps[1].transmitters == ()
+    assert got.steps[7].receptions[0] is got.steps[6].receptions[1]
+    assert bare == [FireAndForward(2), None, FireAndForward(1), FireAndForward(2)]
+    assert len(hidden) == 5
 
 
 def test_standing_repeat_reaches_the_parent_once():

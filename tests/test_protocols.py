@@ -322,6 +322,19 @@ LADDER_BARE_ACTS = {
     ("bnd", HALF): 7_542,
 }
 
+# bare (acts, transmissions) of the fire-and-forward states on the same
+# tree and seed, run to step_cap: the engine sends every relay hop of a
+# node that sleeps past the next step, so act() is called at fire
+# steps and for hops onto a node's own fire step.  Stepwise, behind
+# hide_offer, the acts read mls 23,908/23,298 and rtree 18,495/21,596
+# (full/half), with the same transmissions.
+RELAY_BARE_ACTS = {
+    ("mls", FULL): (4_231, 23_886),
+    ("mls", HALF): (4_284, 23_290),
+    ("rtree", FULL): (3_632, 18_444),
+    ("rtree", HALF): (4_753, 21_596),
+}
+
 
 def test_ladder_act_counts_pinned():
     # the dense reference catches a missed duty beat; this catches a
@@ -347,6 +360,18 @@ def test_ladder_bare_act_counts_pinned():
         assert not trace.incomplete
         assert len(sent) == LADDER_BARE_ACTS[name, mode], (name, mode.value)
         assert sum(len(rec.transmitters) for rec in trace.steps) == tx, (name, mode.value)
+
+
+def test_relay_bare_act_counts_pinned():
+    tree = trees.from_family("random", 256, seed=100)
+    for (name, mode), want in RELAY_BARE_ACTS.items():
+        proto = make_protocol(name, 256, mode)
+        sent = []
+        trace = run(tree, log_acts(proto, sent), mode, max_steps=step_cap(proto), seed=100,
+                    record_steps=True)
+        assert not trace.incomplete
+        tx = sum(len(rec.transmitters) for rec in trace.steps)
+        assert (len(sent), tx) == want, (name, mode.value)
 
 
 def test_fire_forward_schedule_adherence_on_star():

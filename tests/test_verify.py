@@ -86,6 +86,19 @@ def test_schedule_json_rejects_malformed(text):
         FiringSchedule.from_json(text)
 
 
+@pytest.mark.parametrize("text, needle", [
+    ('{"n": 2, "T": -1, "F": [[], []]}', "T >= 0"),
+    ('{"n": 0, "T": 0, "F": []}', "n >= 1"),
+    ('{"n": true, "T": 3, "F": [[0]]}', "integer n and T"),
+    ('{"n": 1, "T": false, "F": [[]]}', "integer n and T"),
+])
+def test_schedule_json_rejects_empty_descriptions(text, needle):
+    # each would otherwise parse: a schedule of no steps or no labels,
+    # or a boolean read as 1 or 0
+    with pytest.raises(ScheduleError, match=needle):
+        FiringSchedule.from_json(text)
+
+
 def test_witness_found_for_single_firing_schedules():
     for seed in range(5):
         sched = single_firing_schedule(16, seed=seed)
