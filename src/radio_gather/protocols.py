@@ -581,24 +581,28 @@ class ScheduledFireForwardState(ProtocolState):
     def __init__(self, label: int, fires):
         self.own = FireAndForward(label)
         self.fires = tuple(sorted(set(fires)))
+        # the fires, closed by a step no clock reaches
+        self._steps = self.fires + (SLEEP_FOREVER,)
         self._cursor = 0
         self._fp = 0
-        self.asleep_until = self.fires[0] if self.fires else SLEEP_FOREVER
+        self.asleep_until = self._steps[0]
 
     def act(self, view):
         t = view.time
-        arrived, self._cursor = _take_arrival(view, self._cursor, t)
-        fires = self.fires
+        arrived = None
+        if self._cursor < len(view.inbox):
+            arrived, self._cursor = _take_arrival(view, self._cursor, t)
+        steps = self._steps
         fp = self._fp
-        while fp < len(fires) and fires[fp] < t:
+        while steps[fp] < t:
             fp += 1
-        scheduled = fp < len(fires) and fires[fp] == t
-        if scheduled:
+        if steps[fp] == t:
             fp += 1
-        self._fp = fp
-        self.asleep_until = fires[fp] if fp < len(fires) else SLEEP_FOREVER
-        if scheduled:
+            self._fp = fp
+            self.asleep_until = steps[fp]
             return self.own if arrived is None else None
+        self._fp = fp
+        self.asleep_until = steps[fp]
         return arrived
 
 
@@ -611,7 +615,10 @@ class RandomFireForwardState(ProtocolState):
     the channel itself discards receptions at a transmitting node, so
     the suppression happens at the receiver with no decision needed.
     Fire steps are drawn as geometric gaps, which keeps sleep intervals
-    long without changing the per-step law.  Messages are shared as in
+    long without changing the per-step law.  The gaps come 16 per
+    generator call, the values 16 single draws would give; the
+    generator is this node's alone, so drawing ahead changes nothing
+    else.  Messages are shared as in
     ScheduledFireForwardState: one own-rumor message, forwards by
     reference.  A forward before next_fire draws nothing and leaves
     the sleep promise as it was, as ProtocolState.forwards promises.
@@ -625,17 +632,23 @@ class RandomFireForwardState(ProtocolState):
         self.half = mode is DuplexMode.HALF
         self.rng = rng
         self.next_fire = -1
+        self._gaps: list[int] = []
         self._cursor = 0
         self._advance(0)
 
     def _advance(self, floor: int) -> None:
         while self.next_fire < floor:
-            self.next_fire += int(self.rng.geometric(1.0 / self.n))
+            if not self._gaps:
+                # reversed, so pop() takes the next gap
+                self._gaps = self.rng.geometric(1.0 / self.n, size=16).tolist()[::-1]
+            self.next_fire += self._gaps.pop()
         self.asleep_until = self.next_fire
 
     def act(self, view):
         t = view.time
-        arrived, self._cursor = _take_arrival(view, self._cursor, t)
+        arrived = None
+        if self._cursor < len(view.inbox):
+            arrived, self._cursor = _take_arrival(view, self._cursor, t)
         if t > self.next_fire:
             self._advance(t)
         decided = t == self.next_fire

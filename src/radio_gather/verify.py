@@ -105,27 +105,38 @@ def _carried(msg) -> frozenset[int]:
 
 
 def _replay(state, view, T: int, inject_step: int | None = None, inject_msg=None):
-    """Drive one state alone for T steps, honoring its sleep promises
-    the way the engine does: an act happens when the promise expires,
-    and a reception pulls the next act to the following step.  Returns
-    {step: message} for every transmission."""
+    """Drive one state alone for steps below T, honoring its sleep
+    promises the way the engine does, and return {step: message} for
+    every transmission.
+
+    The first act is due at asleep_until, or at 0 if the promise lies
+    below 0; after an act at t the next is due at its new promise, or
+    at t + 1 if that is not later.  inject_msg arrives at inject_step
+    (tau): the act due at tau itself runs first, then the message joins
+    the inbox and pulls the next act to tau + 1 if it was due later.
+    Acts run in two stretches of the same loop, those before tau + 1
+    and the rest, so no step pays for the comparison with tau.
+    """
     out = {}
-    wake = max(state.asleep_until, 0)
-    t = wake if inject_step is None else min(wake, inject_step)
-    while t < T:
-        if t == wake:
+    act = state.act
+    t = state.asleep_until
+    if t < 0:
+        t = 0
+    stop = T if inject_step is None or inject_step >= T else inject_step + 1
+    while True:
+        while t < stop:
             view.time = t
-            action = state.act(view)
-            if action is not None:
-                out[t] = action
-            wake = max(state.asleep_until, t + 1)
-        if inject_step == t:
-            view.inbox.append((t, inject_msg))
-            wake = min(wake, t + 1)
-            inject_step = None
-        nxt = wake if inject_step is None else min(wake, inject_step)
-        t = max(t + 1, min(nxt, T))
-    return out
+            msg = act(view)
+            if msg is not None:
+                out[t] = msg
+            due = state.asleep_until
+            t = due if due > t else t + 1
+        if stop == T:
+            return out
+        view.inbox.append((inject_step, inject_msg))
+        if t > stop:
+            t = stop
+        stop = T
 
 
 def _probe_message(kind, rumor: int):
@@ -148,7 +159,17 @@ def extract_schedule(
     probe injects one foreign rumor at step tau and demands the mls
     discipline: scheduled fires still happen (except at tau+1, where
     the arrival must silence them), the injected rumor may be forwarded
-    at tau+1 only, and nothing else is ever transmitted.
+    at tau+1 only, and nothing else is ever transmitted.  Every
+    transmission, silent or probed, must be of the protocol's message
+    kind; that check comes first.
+
+    Each probe replays a fresh state from step 0: rebuilding a state
+    and making its acts costs less than copying one.  The probe
+    message and the expected rumor sets are built once per label, and
+    a probe reads the rumors of each distinct message object once,
+    through a dict keyed by id().  That is sound because the probe's
+    transmissions hold every object alive until its checks are done,
+    so no id is reused meanwhile.
     """
     if protocol.needs_rng:
         raise NotOblivious("protocol draws randomness")
@@ -165,10 +186,11 @@ def extract_schedule(
     for label in range(n):
         state = protocol.state_factory(label, n, mode, None)
         silent = _replay(state, NodeView(label, n), horizon)
+        own_set = frozenset((label,))
         for t, msg in silent.items():
             if type(msg) is not kind:
                 raise NotOblivious(f"label {label} sent a {type(msg).__name__}")
-            if _carried(msg) != {label}:
+            if _carried(msg) != own_set:
                 raise NotOblivious(
                     f"label {label} transmitted a rumor it never held at step {t}"
                 )
@@ -177,6 +199,8 @@ def extract_schedule(
 
         if n > 1:
             foreign = (label + 1) % n
+            probe = _probe_message(kind, foreign)
+            foreign_set = frozenset((foreign,))
             taus = {0, max(0, horizon - 2)}
             for f in fires:
                 taus.add(f)
@@ -192,16 +216,21 @@ def extract_schedule(
                     NodeView(label, n),
                     horizon,
                     inject_step=tau,
-                    inject_msg=_probe_message(kind, foreign),
+                    inject_msg=probe,
                 )
+                payloads = {}  # id(message) -> rumors; seen keeps each alive
                 for t, msg in seen.items():
-                    carried = _carried(msg)
+                    if type(msg) is not kind:
+                        raise NotOblivious(f"label {label} sent a {type(msg).__name__}")
+                    carried = payloads.get(id(msg))
+                    if carried is None:
+                        carried = payloads[id(msg)] = _carried(msg)
                     if t == tau + 1:
                         if t in fire_set:
                             raise NotOblivious(
                                 f"label {label} fired at {t} over a fresh arrival"
                             )
-                        if carried != {foreign}:
+                        if carried != foreign_set:
                             raise NotOblivious(
                                 f"label {label} sent {sorted(carried)} at {t}, "
                                 f"not the forwarded rumor"
@@ -210,11 +239,11 @@ def extract_schedule(
                         raise NotOblivious(
                             f"label {label} transmitted off schedule at {t}"
                         )
-                    elif carried != {label}:
+                    elif carried != own_set:
                         raise NotOblivious(
                             f"label {label} changed its fire payload at {t}"
                         )
-                missing = fire_set - set(seen) - {tau + 1}
+                missing = fire_set - seen.keys() - {tau + 1}
                 if missing:
                     raise NotOblivious(
                         f"label {label} dropped scheduled fires {sorted(missing)} "
@@ -395,11 +424,11 @@ def interval_all_success(
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        slots = rng.integers(0, length, size=(b, intervals, n))
-        base = (np.arange(b)[:, None, None] * intervals + np.arange(intervals)[None, :, None]) * length
-        flat = (slots + base).ravel()
-        counts = np.bincount(flat, minlength=b * intervals * length)
-        alone = counts[(slots + base)] == 1
+        # each (trial, interval) pair gets its own block of slot keys
+        keys = rng.integers(0, length, size=(b, intervals, n))
+        keys += (np.arange(b)[:, None, None] * intervals + np.arange(intervals)[None, :, None]) * length
+        counts = np.bincount(keys.ravel(), minlength=b * intervals * length)
+        alone = (counts == 1)[keys]
         good += int(alone.any(axis=1).all(axis=1).sum())
         done += b
     return good / trials
@@ -433,7 +462,8 @@ def iid_all_success(
     good = 0
     for _ in range(trials):
         fires = rng.random((horizon, n)) < p
-        alone = fires & (fires.sum(axis=1) == 1)[:, None]
+        # the steps with exactly one firer
+        alone = fires[fires.sum(axis=1) == 1]
         if alone.any(axis=0).all():
             good += 1
     return good / trials

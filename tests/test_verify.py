@@ -1,17 +1,30 @@
 """Schedule extraction, witness search, and star-scheme statistics."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from radio_gather import trees
-from radio_gather.engine import DuplexMode, run
-from radio_gather.protocols import make_protocol
+from radio_gather.engine import (
+    Bounded,
+    DuplexMode,
+    FireAndForward,
+    NodeView,
+    Protocol,
+    ProtocolState,
+    ProtocolViolatedMessageBound,
+    run,
+)
+from radio_gather.protocols import ScheduledFireForwardState, make_protocol
 from radio_gather.verify import (
     CaterpillarWitness,
     FiringSchedule,
     IntervalScheme,
     NotOblivious,
     ScheduleError,
+    _replay,
     extract_schedule,
     find_caterpillar_witness,
     iid_all_success,
@@ -19,6 +32,8 @@ from radio_gather.verify import (
     interval_success_samples,
     schedule_protocol,
 )
+
+from test_engine import log_acts
 
 FULL = DuplexMode.FULL
 
@@ -161,6 +176,207 @@ def test_witness_despite_repeated_fire_step():
         w = find_caterpillar_witness(sched)
         assert w is not None
         assert (w.victim, w.pairs, w.offsets) == (0, ((1, 1, 1),), (0, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# extraction: the replay loop, each NotOblivious check, a pinned contract
+
+
+FIRES = (3, 7)
+HAND_T = 12
+
+
+class Stepwise(ProtocolState):
+    """Fires its own rumor at FIRES unless a message arrived one step
+    earlier, forwards that message otherwise, and acts every step.  Its
+    promise is the current step, which the replay reads as the next one.
+    Each subclass below breaks one rule of that discipline."""
+
+    def __init__(self, label, n):
+        self.label = label
+        self.own = FireAndForward(label)
+        self.asleep_until = -3
+
+    def act(self, view):
+        t = view.time
+        self.asleep_until = t
+        arrived = next((m for s, m in view.inbox if s == t - 1), None)
+        return self.decide(t, arrived, view)
+
+    def decide(self, t, arrived, view):
+        if t in FIRES:
+            return self.own if arrived is None else None
+        return arrived
+
+
+class FiresOverArrival(Stepwise):
+    def decide(self, t, arrived, view):
+        return self.own if t in FIRES else arrived
+
+
+class ForwardsOwn(Stepwise):
+    def decide(self, t, arrived, view):
+        if t in FIRES:
+            return super().decide(t, arrived, view)
+        return None if arrived is None else self.own
+
+
+class ForwardsTwice(Stepwise):
+    def decide(self, t, arrived, view):
+        again = next((m for s, m in view.inbox if s == t - 2), None)
+        return super().decide(t, arrived, view) or again
+
+
+class FiresWhatItHeard(Stepwise):
+    def decide(self, t, arrived, view):
+        if t in FIRES and arrived is None and view.inbox:
+            return view.inbox[-1][1]
+        return super().decide(t, arrived, view)
+
+
+class SilentAfterArrival(Stepwise):
+    def decide(self, t, arrived, view):
+        if view.inbox:
+            return arrived
+        return super().decide(t, arrived, view)
+
+
+class ForwardsBounded(Stepwise):
+    def decide(self, t, arrived, view):
+        if t not in FIRES and arrived is not None:
+            return Bounded(rumor=arrived.rumor, sender=self.label)
+        return super().decide(t, arrived, view)
+
+
+class FiresNeighbour(Stepwise):
+    def __init__(self, label, n):
+        super().__init__(label, n)
+        self.own = FireAndForward((label + 1) % n)
+
+
+def hand_protocol(cls, n=3):
+    return Protocol(
+        name=cls.__name__,
+        message_kind=FireAndForward,
+        state_factory=lambda label, n_, mode_, rng: cls(label, n_),
+        n=n,
+    )
+
+
+def test_extract_accepts_stepwise_state():
+    sched = extract_schedule(hand_protocol(Stepwise), T=HAND_T)
+    assert sched.fires == (FIRES,) * 3
+
+
+@pytest.mark.parametrize("cls, message", [
+    pytest.param(cls, message, id=cls.__name__) for cls, message in [
+        (FiresOverArrival, "label 0 fired at 3 over a fresh arrival"),
+        (ForwardsOwn, "label 0 sent [0] at 1, not the forwarded rumor"),
+        (ForwardsTwice, "label 0 transmitted off schedule at 2"),
+        (FiresWhatItHeard, "label 0 changed its fire payload at 3"),
+        (SilentAfterArrival, "label 0 dropped scheduled fires [3, 7] after an arrival at 0"),
+        (ForwardsBounded, "label 0 sent a Bounded"),
+        (FiresNeighbour, "label 0 transmitted a rumor it never held at step 3"),
+    ]
+])
+def test_extract_names_each_violation(cls, message):
+    with pytest.raises(NotOblivious, match=f"^{re.escape(message)}$"):
+        extract_schedule(hand_protocol(cls), T=HAND_T)
+
+
+def test_forwarding_the_wrong_kind_breaks_a_run_too():
+    # extraction used to pass this state with fires (3, 7) per label;
+    # the engine refuses its first forward
+    with pytest.raises(ProtocolViolatedMessageBound, match="returned Bounded"):
+        run(trees.make_path(3), hand_protocol(ForwardsBounded), DuplexMode.FULL,
+            max_steps=HAND_T, stop_early=False)
+
+
+class FiresBeforeZero(Stepwise):
+    """Would fire at any step below 0; acts start at 0 all the same."""
+
+    def decide(self, t, arrived, view):
+        return self.own if t < 0 else super().decide(t, arrived, view)
+
+
+def stepwise_replay(state, view, T, tau=None, msg=None):
+    """act() at every step below T, ignoring the sleep promise, with msg
+    joining the inbox right after step tau's act."""
+    out = {}
+    for t in range(T):
+        view.time = t
+        action = state.act(view)
+        if action is not None:
+            out[t] = action
+        if t == tau:
+            view.inbox.append((t, msg))
+    return out
+
+
+def replay_cases():
+    """(state factory, T) for states that keep their promises: mls
+    labels, the hand-built state (a promise of -3, then the current
+    step) and a pure relay (a promise of SLEEP_FOREVER)."""
+    for mode in (DuplexMode.FULL, DuplexMode.HALF):
+        proto = make_protocol("mls", 16, mode)
+        for label in (0, 5, 15):
+            yield pytest.param(
+                lambda p=proto, lab=label, m=mode: p.state_factory(lab, 16, m, None),
+                proto.horizon, id=f"mls-{mode.value}-{label}")
+    yield pytest.param(lambda: Stepwise(0, 3), HAND_T, id="stepwise")
+    yield pytest.param(lambda: FiresBeforeZero(0, 3), HAND_T, id="before-zero")
+    yield pytest.param(lambda: ScheduledFireForwardState(0, ()), HAND_T, id="relay")
+
+
+@pytest.mark.parametrize("make, T", list(replay_cases()))
+def test_replay_matches_stepwise_driver(make, T):
+    probe = FireAndForward(1)
+    # the probe steps extract_schedule uses, and the two past the horizon
+    taus = {None, 0, T - 2, T - 1, T, T + 5}
+    for f in stepwise_replay(make(), NodeView(0, 16), T):
+        taus.update((f - 1, f) if f > 0 else (f,))
+    for tau in sorted(taus, key=lambda x: -1 if x is None else x):
+        kwargs = {} if tau is None else {"inject_step": tau, "inject_msg": probe}
+        want = stepwise_replay(make(), NodeView(0, 16), T, tau, probe)
+        got = _replay(make(), NodeView(0, 16), T, **kwargs)
+        assert list(got.items()) == list(want.items()), tau
+        assert [m is probe for m in got.values()] == [m is probe for m in want.values()]
+
+
+# sha256 of to_json() and act() count for mls, pinned when the replay
+# was a step-by-step loop (125,127 acts at n = 128, both modes); a change
+# to either is a change to extraction
+EXTRACTION_PINS = {
+    (16, "full"): ("f617f5d464f0d23c65ce331025ebf1bd2f1f2b379712e03e8a0ae8909a0a8bdb", 1784),
+    (16, "half"): ("6f3efa13ce074b286a0aca3f081f18c88b88bedf10c58a08968b434d808679a5", 1795),
+    (64, "full"): ("c42f421e49eb8206c9589ecac828d83081f3337b7671f2334f7262c165eaccf8", 23645),
+    (64, "half"): ("7610cd69f76c06eae9d3059de621f2ec726ce54cf78aa2d45df58d74f3733781", 23750),
+    (128, "full"): ("103349757563f6e10a37be2336457cc9cbc5f52fbd17ad76105e2e77f1814bce", 62516),
+    (128, "half"): ("25d4af4d7d3301a94fc7836e025d5bc78a99905de0ac900deb4d6546531a7c18", 62611),
+}
+# sha256 over the NotOblivious messages of the adaptive protocols,
+# one "name n mode: message" line each
+ADAPTIVE_PIN = "fcaac413075015ece13fe68a1551e87d108372d26e34eba7814dc399ab27a151"
+
+
+@pytest.mark.parametrize("n, mode", sorted(EXTRACTION_PINS))
+def test_extraction_contract_pinned(n, mode):
+    sent = []
+    proto = make_protocol("mls", n, DuplexMode(mode))
+    sched = extract_schedule(log_acts(proto, sent))
+    assert (hashlib.sha256(sched.to_json().encode()).hexdigest(), len(sent)) \
+        == EXTRACTION_PINS[(n, mode)]
+
+
+def test_adaptive_rejections_pinned():
+    lines = []
+    for name in ("rr-unb", "rr-bnd", "unb1", "unb2", "bnd"):
+        for n in (2, 6, 17, 40):
+            for mode in (DuplexMode.FULL, DuplexMode.HALF):
+                with pytest.raises(NotOblivious) as err:
+                    extract_schedule(make_protocol(name, n, mode))
+                lines.append(f"{name} {n} {mode.value}: {err.value}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ADAPTIVE_PIN
 
 
 # ---------------------------------------------------------------------------
