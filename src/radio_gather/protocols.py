@@ -632,7 +632,7 @@ class RandomFireForwardState(ProtocolState):
         self.half = mode is DuplexMode.HALF
         self.rng = rng
         self.next_fire = -1
-        self._gaps: list[int] = []
+        self._gaps = []
         self._cursor = 0
         self._advance(0)
 
