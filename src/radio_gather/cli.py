@@ -80,9 +80,12 @@ def _check_out(args) -> None:
 def _env_seed() -> int:
     raw = os.environ.get("RADIO_GATHER_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise CliError(f"RADIO_GATHER_SEED must be an integer, got {raw!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        raise CliError(f"RADIO_GATHER_SEED must be a nonnegative integer, got {raw!r}")
+    return seed
 
 
 def _resolve_tree(args, seed: int | None = None):
@@ -343,8 +346,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # only commands that take --seed read the environment
-        if "seed" in args and args.seed is None:
-            args.seed = _env_seed()
+        if "seed" in args:
+            if args.seed is None:
+                args.seed = _env_seed()
+            # numpy seeds its generators with nonnegative integers only
+            _size(args.seed, "--seed", least=0)
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,7 +50,9 @@ import numpy as np
 
 from .trees import Tree
 
-TRACE_SCHEMA = "radio-gather-trace/1"
+TRACE_SCHEMA = "radio-gather-trace/2"
+# schemas the reader accepts: /1 also wrote a line per silent step
+READ_SCHEMAS = ("radio-gather-trace/1", TRACE_SCHEMA)
 
 # asleep_until value meaning "only a reception can make me act again"
 SLEEP_FOREVER = 1 << 62
@@ -218,7 +220,7 @@ def step(
     return first, frozenset(collided)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class StepRecord:
     step: int
     transmitters: tuple[int, ...]
@@ -233,6 +235,9 @@ class Trace:
     delivery maps rumor id to the first step the root heard it; the
     root's own rumor is delivered at step 0.  completion_step is the
     largest delivery time once all n rumors arrived, None otherwise.
+    steps, when recorded, holds one record per step with a transmitter,
+    in step order.  Every other step below steps_executed was silent: no
+    transmission, so no reception and no collision either.
     """
 
     protocol: str
@@ -291,41 +296,45 @@ class Trace:
 
     @classmethod
     def from_jsonl_lines(cls, fh: IO[bytes]) -> "Trace":
+        """Read a trace written under any schema in READ_SCHEMAS.
+
+        A step line in the writer's exact layout is parsed directly, and
+        equal message texts load as one object; any other line goes
+        through json.loads.  A step with no transmitter, reception or
+        collision is dropped, so /1's silent lines load to nothing."""
         header = None
         summary = None
         steps: list[StepRecord] = []
-        pre, suf = _SILENT_PREFIX, _SILENT_SUFFIX
-        npre, nsuf = len(pre), -len(suf)
+        messages: dict[str, Message] = {}
+        lists: dict[str, tuple[int, ...]] = {}
         for raw in fh:
-            if raw[:npre] == pre and raw.endswith(suf):
-                mid = raw[npre:nsuf]
-                # digits without a leading zero: exactly what json.loads
-                # reads as a nonnegative integer
-                if mid.isdigit() and (mid[0] != 48 or len(mid) == 1):
-                    steps.append(StepRecord(int(mid), (), {}, ()))
+            rec = None
+            if raw[:_NPREFIX] == _STEP_PREFIX:
+                line = raw.decode("utf-8", "surrogatepass")
+                rec = _parse_step_line(line, messages, lists)
+            if rec is None:
+                if not raw.strip():
                     continue
-            if not raw.strip():
-                continue
-            obj = json.loads(raw)
-            kind = obj.get("kind")
-            if kind == "header":
-                if obj.get("schema") != TRACE_SCHEMA:
-                    raise ValueError(f"unknown trace schema {obj.get('schema')!r}")
-                header = obj
-            elif kind == "step":
-                steps.append(
-                    StepRecord(
-                        step=obj["step"],
-                        transmitters=tuple(obj["transmitters"]),
-                        receptions={
-                            int(v): message_from_json(m)
-                            for v, m in obj["receptions"].items()
-                        },
-                        collisions=tuple(obj["collisions"]),
-                    )
+                obj = json.loads(raw)
+                kind = obj.get("kind")
+                if kind == "header":
+                    if obj.get("schema") not in READ_SCHEMAS:
+                        raise ValueError(f"unknown trace schema {obj.get('schema')!r}")
+                    header = obj
+                elif kind == "summary":
+                    summary = obj
+                if kind != "step":
+                    continue
+                rec = StepRecord(
+                    step=obj["step"],
+                    transmitters=tuple(obj["transmitters"]),
+                    receptions={
+                        int(v): message_from_json(m) for v, m in obj["receptions"].items()
+                    },
+                    collisions=tuple(obj["collisions"]),
                 )
-            elif kind == "summary":
-                summary = obj
+            if rec.transmitters or rec.receptions or rec.collisions:
+                steps.append(rec)
         if header is None or summary is None:
             raise ValueError("trace stream is missing its header or summary record")
         return cls(
@@ -351,31 +360,26 @@ def _dump_line(obj: dict) -> bytes:
 
 
 # A step line's keys in sorted order: collisions, kind, receptions,
-# step, transmitters.  Silent steps differ only in their step number.
+# step, transmitters.
 _STEP_LINE = '{"collisions":[%s],"kind":"step","receptions":{%s},"step":%d,"transmitters":[%s]}\n'
-_SILENT_PREFIX = b'{"collisions":[],"kind":"step","receptions":{},"step":'
-_SILENT_SUFFIX = b',"transmitters":[]}\n'
-_SILENT_LINE = (_SILENT_PREFIX + b"%d" + _SILENT_SUFFIX).decode()
 
 
 def _step_lines(steps: list[StepRecord]) -> bytes:
     """Every step line of a trace, formatted without the generic encoder.
 
-    Reception keys are node ids sorted as strings, as sort_keys sorts
-    them.  A message object that several receptions share (a forwarded
-    message, a cached rumor set) is encoded once per call; keying that
-    cache by id() is sound because steps keeps every message alive.
+    One line per record, silent or not; run() records only steps with a
+    transmitter.  Reception keys are node ids sorted as strings, as
+    sort_keys sorts them.  A message object that several receptions
+    share (a forwarded message, a cached rumor set) is encoded once per
+    call; keying that cache by id() is sound because steps keeps every
+    message alive.
     """
     out: list[str] = []
     append = out.append
     encoded: dict[int, str] = {}
     for rec in steps:
-        rx = rec.receptions
-        if not rec.transmitters and not rx and not rec.collisions:
-            append(_SILENT_LINE % rec.step)
-            continue
         parts = []
-        for v, m in sorted(rx.items(), key=_str_key):
+        for v, m in sorted(rec.receptions.items(), key=_str_key):
             text = encoded.get(id(m))
             if text is None:
                 text = encoded[id(m)] = _message_text(m)
@@ -387,6 +391,95 @@ def _step_lines(steps: list[StepRecord]) -> bytes:
             ",".join(map(str, rec.transmitters)),
         ))
     return "".join(out).encode()
+
+
+# The reader's view of _STEP_LINE.  An integer text is taken as is only
+# when it is the one str() gives its value, which is how json reads it.
+_STEP_OPEN = '{"collisions":['
+_STEP_PREFIX = _STEP_OPEN.encode()
+_NPREFIX = len(_STEP_OPEN)
+_RX_OPEN = '],"kind":"step","receptions":{'
+_STEP_KEY = '},"step":'
+_TX_KEY = ',"transmitters":['
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _int_list(text: str, seen: dict[str, tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The integers of a comma-separated text as json reads them, or None
+    unless each is written as str() writes it.  seen caches the texts
+    already read."""
+    got = seen.get(text)
+    if got is None:
+        try:
+            got = tuple(map(int, text.split(","))) if text else ()
+        except ValueError:
+            return None
+        if ",".join(map(str, got)) != text:
+            return None
+        seen[text] = got
+    return got
+
+
+def _parse_step_line(
+    line: str, messages: dict[str, Message], lists: dict[str, tuple[int, ...]]
+) -> StepRecord | None:
+    """The record json.loads would read from line, or None unless line
+    has _STEP_LINE's layout with reception entries that cover the
+    receptions text exactly.  messages maps each message text already
+    loaded to its object, and lists each integer list text already read.
+    A cached message text is a whole JSON object, so when the text up
+    to the next "}" is cached, that "}" ends the message; otherwise the
+    JSON scanner finds its end."""
+    if not line.startswith(_STEP_OPEN):
+        return None
+    i = line.find(_RX_OPEN, _NPREFIX)
+    j = line.rfind(_STEP_KEY)
+    start = i + len(_RX_OPEN)
+    if i < 0 or j < start:
+        return None
+    k = line.find(_TX_KEY, j)
+    close = -3 if line.endswith("]}\n") else -2 if line.endswith("]}") else 0
+    if k < 0 or not close:
+        return None
+    col = _int_list(line[_NPREFIX:i], lists)
+    tx = _int_list(line[k + len(_TX_KEY):close], lists)
+    t = line[j + len(_STEP_KEY):k]
+    try:
+        step = int(t)
+    except ValueError:
+        return None
+    if col is None or tx is None or str(step) != t:
+        return None
+    rx: dict[int, Message] = {}
+    p = start
+    while p < j:
+        c = line.find('":{', p)
+        key = line[p + 1:c]
+        if line[p] != '"' or not (key.isdigit() and key.isascii()):
+            return None
+        p = c + 2
+        q = line.find("}", p) + 1
+        msg = messages.get(line[p:q])
+        if msg is None:
+            try:
+                obj, q = _raw_decode(line, p)
+                text = line[p:q]
+                msg = messages.get(text)
+                if msg is None:
+                    msg = messages[text] = message_from_json(obj)
+            except (KeyError, TypeError, ValueError):
+                # json.loads decides: a later duplicate key may replace it
+                return None
+        rx[int(key)] = msg
+        if q == j:
+            break
+        if line[q:q + 1] != ",":
+            return None
+        p = q + 1
+    else:
+        if start < j:  # a trailing comma
+            return None
+    return StepRecord(step, tx, rx, col)
 
 
 def _str_key(item: tuple[int, Message]) -> str:
@@ -553,11 +646,7 @@ def run(
             break
         if nxt > t and observer is None:
             # nobody acts before nxt, so nothing can be received either
-            target = min(nxt, max_steps)
-            if recorded is not None:
-                for s in range(t, target):
-                    recorded.append(StepRecord(s, (), {}, ()))
-            t = target
+            t = min(nxt, max_steps)
             continue
 
         awake: list[int] = []
@@ -645,7 +734,7 @@ def run(
             views[p].inbox.append((t, msg))
 
         collisions_total += len(collided)
-        if recorded is not None:
+        if recorded is not None and transmitters:
             recorded.append(
                 StepRecord(t, tuple(sorted(transmitters)), receptions, tuple(sorted(collided)))
             )

@@ -246,6 +246,32 @@ def test_seed_env_not_an_integer(monkeypatch, capsys):
     assert_input_error(capsys, rc, "RADIO_GATHER_SEED")
 
 
+NEGATIVE_SEED_RUNS = [
+    ["run", "--protocol", "rr-bnd", "--tree", "random", "--n", "8"],
+    ["run", "--protocol", "rtree", "--tree", "star", "--n", "8"],
+    ["scaling", "--protocol", "rtree", "--sizes", "8", "--trials", "1"],
+    ["verify-lemmas", "--trials", "2", "--max-n", "8"],
+]
+
+
+@pytest.mark.parametrize("args", NEGATIVE_SEED_RUNS, ids=lambda a: a[0] + " " + a[2])
+def test_negative_seed_rejected(args, capsys):
+    assert_input_error(capsys, run_cli(args + ["--seed", "-3"]), "--seed must be at least 0")
+
+
+@pytest.mark.parametrize("args", NEGATIVE_SEED_RUNS, ids=lambda a: a[0] + " " + a[2])
+def test_seed_env_negative(monkeypatch, capsys, args):
+    monkeypatch.setenv("RADIO_GATHER_SEED", "-5")
+    assert_input_error(capsys, run_cli(args), "RADIO_GATHER_SEED must be a nonnegative integer")
+
+
+def test_negative_seed_rejected_on_a_tree_file(tmp_path, capsys):
+    path = tmp_path / "t.tree"
+    save_tree(make_random_tree(8, seed=1), str(path))
+    rc = run_cli(["run", "--protocol", "rtree", "--tree", str(path), "--seed", "-1"])
+    assert_input_error(capsys, rc, "--seed must be at least 0")
+
+
 @pytest.mark.parametrize("args", [
     ["constructs", "--kind", "family", "--n", "10", "--k", "2"],
     ["adversary", "--protocol", "mls", "--n", "4"],

@@ -19,6 +19,7 @@ from radio_gather.engine import (
     Trace,
     Unbounded,
     _dump_line,
+    _parse_step_line,
     _step_lines,
     message_from_json,
     message_to_json,
@@ -261,6 +262,7 @@ def test_fast_forward_matches_observer_stepping():
         observer=lambda t, states, tx, rx, col: seen.append(t),
     )
     assert t1.steps == t2.steps
+    assert t1.steps_executed == t2.steps_executed
     assert t1.delivery == t2.delivery
     assert seen == list(range(t2.steps_executed))
 
@@ -555,8 +557,11 @@ SILENT = b'{"collisions":[],"kind":"step","receptions":{},"step":5,"transmitters
     SILENT.replace(b"[]}", b"[3]}"),
 ], ids=repr)
 def test_reader_near_silent_lines_load_as_json_reads_them(line):
-    assert load_steps(line) == [step_from_json(line)]
-    assert load_steps(line, b"\n", line) == [step_from_json(line)] * 2
+    want = step_from_json(line)
+    # a step with nothing on the channel loads to no record
+    kept = [want] if want.transmitters or want.receptions or want.collisions else []
+    assert load_steps(line) == kept
+    assert load_steps(line, b"\n", line) == kept * 2
 
 
 @pytest.mark.parametrize("line", [
@@ -571,10 +576,133 @@ def test_reader_rejects_what_json_rejects(line):
         load_steps(line)
 
 
+ACTIVE = (b'{"collisions":[0],"kind":"step","receptions":{"1":{"kind":"fnf","rumor":2}},'
+          b'"step":5,"transmitters":[2,3,4]}\n')
+
+
 def test_reader_silent_line_without_newline():
-    line = SILENT.rstrip(b"\n")
-    trace = Trace.from_jsonl_lines(io.BytesIO(HEADER + SUMMARY + line))
-    assert trace.steps == [StepRecord(5, (), {}, ())]
+    # the last line may lack its newline, whether its step is silent or not
+    for line, want in ((SILENT, []), (ACTIVE, [step_from_json(ACTIVE)])):
+        last = line.rstrip(b"\n")
+        assert Trace.from_jsonl_lines(io.BytesIO(HEADER + SUMMARY + last)).steps == want
+        assert load_steps(line) == want
+
+
+def rx_line(receptions):
+    return (b'{"collisions":[],"kind":"step","receptions":{%s},"step":3,"transmitters":[1,2]}\n'
+            % receptions)
+
+
+@pytest.mark.parametrize("receptions,direct", [
+    (b'"1":{"aux":[["}",1]],"kind":"unbounded","rumors":[2]}', True),
+    (b'"1":{"aux":[[",\\"2\\":{",1]],"kind":"unbounded","rumors":[2]},"2":{"kind":"fnf","rumor":1}', True),
+    (b'"1":{"aux":[["a},\\"b",1],["}",2]],"kind":"unbounded","rumors":[]}', True),
+    (b'"01":{"kind":"fnf","rumor":4}', True),
+    (b'"2":{"kind":"fnf","rumor":4},"2":{"kind":"fnf","rumor":5}', True),
+    (b'"1":{"kind":"fnf","rumor":4},"01":{"kind":"fnf","rumor":5}', True),
+    (b'"1":{"kind":"fnf","rumor":4,"kind":"fnf"}', True),
+    (b'"1":{"kind":"fnf", "rumor":4}', True),
+    (b'"1":{"rumor":4,"kind":"fnf"},"2":{"kind":"fnf","rumor":4}', True),
+    (b'"1":{"kind":"fnf","rumor":4} ,"2":{"kind":"fnf","rumor":5}', False),
+    (b'"1":{"kind":"nope"},"1":{"kind":"fnf","rumor":4}', False),
+    (b'"1" :{"kind":"fnf","rumor":4}', False),
+    (b'"-1":{"kind":"fnf","rumor":4}', False),
+], ids=repr)
+def test_reader_direct_step_lines_load_as_json_reads_them(receptions, direct):
+    line = rx_line(receptions)
+    assert (_parse_step_line(line.decode(), {}, {}) is not None) == direct
+    assert load_steps(line) == [step_from_json(line)]
+    assert load_steps(line, line) == [step_from_json(line)] * 2
+
+
+@pytest.mark.parametrize("receptions", [
+    b'"1":{"kind":"fnf","rumor":4},',
+    b'"1":{"kind":"fnf","rumor":4},,"2":{"kind":"fnf","rumor":5}',
+    b'"1":{"kind":"fnf","rumor":4}"2":{"kind":"fnf","rumor":5}',
+    b'"1":{"kind":"fnf","rumor":4',
+    b'"1":{"kind":"fnf","rumor":04}',
+])
+def test_reader_direct_step_lines_reject_what_json_rejects(receptions):
+    line = rx_line(receptions)
+    with pytest.raises(ValueError):
+        json.loads(line)
+    with pytest.raises(ValueError):
+        load_steps(line)
+    # once the message's text is cached, too
+    with pytest.raises(ValueError):
+        load_steps(rx_line(b'"1":{"kind":"fnf","rumor":4}'), line)
+
+
+@pytest.mark.parametrize("end", [b"\n", b""], ids=["newline", "eof"])
+def test_reader_message_running_to_the_line_end(end):
+    # the receptions object is never closed: the message swallows what
+    # looks like the line's tail
+    line = rx_line(b'"1":{"x":{').rstrip(b"\n") + end
+    with pytest.raises(ValueError):
+        json.loads(line)
+    with pytest.raises(ValueError):
+        load_steps(line)
+
+
+def loaded_as_json_reads(line):
+    """What the reader must make of line: the step json.loads reads,
+    none for another kind or a silent step, or the error it raises."""
+    try:
+        obj = json.loads(line)
+        if obj.get("kind") != "step":
+            return []
+        want = step_from_json(line)
+    except Exception as exc:
+        return type(exc)
+    return [want] if want.transmitters or want.receptions or want.collisions else []
+
+
+def test_reader_mutated_step_lines_load_as_json_reads_them():
+    # random edits of real step lines; most break the layout, some keep
+    # it with other numbers, keys or message texts
+    lines = []
+    for name in PROTOCOL_NAMES:
+        proto = make_protocol(name, 16, FULL)
+        trace = run(from_family("random", 16, seed=3), proto, FULL,
+                    max_steps=step_cap(proto), seed=3, record_steps=True)
+        lines += _step_lines(trace.steps[:20]).splitlines(keepends=True)
+    lines.append(rx_line(b'"1":{"aux":[["}",1],[",\\"9\\":{",2]],"kind":"unbounded","rumors":[2]}'))
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        line = bytearray(lines[rng.integers(len(lines))].rstrip(b"\n"))
+        # half the lines get their edits at digits, with digits and commas
+        numeric = rng.integers(2)
+        alphabet = b"0123456789," if numeric else b'{}[],":0123456789 -\\x'
+        for _ in range(rng.integers(1, 4)):
+            spots = ([i for i, c in enumerate(line) if c in b"0123456789"] if numeric
+                     else range(len(line)))
+            i = int(spots[rng.integers(len(spots))])
+            op = rng.integers(3)
+            if op == 0:
+                del line[i]
+            elif op == 1:
+                line.insert(i, alphabet[rng.integers(len(alphabet))])
+            else:
+                line[i] = alphabet[rng.integers(len(alphabet))]
+        line = bytes(line) + b"\n"
+        want = loaded_as_json_reads(line)
+        if isinstance(want, list):
+            assert load_steps(line) == want, line
+        else:
+            with pytest.raises(want):
+                load_steps(line)
+
+
+def test_reader_loads_equal_message_texts_as_one_object():
+    fnf = b'{"kind":"fnf","rumor":4}'
+    rumors = b'{"aux":[["}",1]],"kind":"unbounded","rumors":[1,2]}'
+    steps = load_steps(
+        rx_line(b'"1":%s,"2":%s' % (fnf, rumors)),
+        rx_line(b'"7":%s,"9":%s' % (rumors, fnf)),
+    )
+    a, b = steps[0].receptions, steps[1].receptions
+    assert a[1] is b[9] and a[2] is b[7]
+    assert a[1] == FireAndForward(4) and a[2] == Unbounded(frozenset({1, 2}), aux=(("}", 1),))
 
 
 def test_trace_rejects_unknown_schema():
@@ -750,9 +878,10 @@ def test_relay_fire_after_an_arrival_is_silenced_stepwise():
     want = run(tree, hide_offer(proto, hidden), FULL, max_steps=10, record_steps=True)
     assert got.to_jsonl_bytes() == want.to_jsonl_bytes()
     assert got.delivery == {0: 0, 1: 4, 2: 7}
-    assert got.steps[0].receptions == {1: FireAndForward(2)}
-    assert got.steps[1].transmitters == ()
-    assert got.steps[7].receptions[0] is got.steps[6].receptions[1]
+    at = {rec.step: rec for rec in got.steps}
+    assert at[0].receptions == {1: FireAndForward(2)}
+    assert 1 not in at
+    assert at[7].receptions[0] is at[6].receptions[1]
     assert bare == [FireAndForward(2), None, FireAndForward(1), FireAndForward(2)]
     assert len(hidden) == 5
 
@@ -775,7 +904,7 @@ def test_standing_repeat_reaches_the_parent_once():
             continue
         beats = [rec.step for rec in trace.steps
                  if rec.step >= n and (rec.step - n) % 2 == 1 and c in rec.transmitters]
-        first = trace.steps[beats[0]]
+        first = next(rec for rec in trace.steps if rec.step == beats[0])
         msg = first.receptions[p]
         heard = [rec.step for rec in trace.steps if rec.receptions.get(p) is msg]
         assert len(heard) >= len(beats) > 1
@@ -798,7 +927,10 @@ def test_observer_sees_roster_transmitters(name, mode):
                   observer=observe)
     plain = run(tree, proto, mode, max_steps=step_cap(proto), record_steps=True)
     assert watched.to_jsonl_bytes() == plain.to_jsonl_bytes()
-    assert seen == [(r.step, r.transmitters, r.receptions, r.collisions) for r in plain.steps]
+    assert [t for t, *_ in seen] == list(range(plain.steps_executed))
+    active = [s for s in seen if s[1]]
+    assert active == [(r.step, r.transmitters, r.receptions, r.collisions) for r in plain.steps]
+    assert all(not rx and not col for _, tx, rx, col in seen if not tx)
 
 
 def summary(trace):

@@ -9,6 +9,12 @@ duty-beat ladder sleeps went in, from the engine that woke ladder nodes
 at every step, so they pin that those changes left every byte alone.
 A change that alters a trace on purpose must say why and re-pin here.
 
+The hashes predate schema /2, which stores only the steps with a
+transmitter, so they are taken over the /1 bytes that trace_v1 rebuilds
+from each trace.  Each check also asserts that the /2 bytes are those /1
+bytes without their silent lines, that both load to the run's records,
+and that the /2 bytes round-trip unchanged.
+
 LONG_CHAINS pins mls and rtree on path and caterpillar trees of 128
 nodes (tree seed and run seed 100), where most transmissions forward
 what arrived one step earlier.  Those hashes were computed before
@@ -22,12 +28,15 @@ computed before the three ladders were merged into one census-and-ladder
 skeleton whose duty beats are built once at activation.
 """
 import hashlib
+import io
 
 import pytest
 
-from radio_gather.engine import DuplexMode, run
+from radio_gather.engine import DuplexMode, Trace, run
 from radio_gather.protocols import make_protocol, step_cap
 from radio_gather.trees import from_family
+
+from trace_v1 import v1_bytes, v2_from_v1
 
 N = 64
 SEED = 100
@@ -97,21 +106,27 @@ def recorded_trace(family, n, name, mode):
     return run(tree, proto, duplex, max_steps=step_cap(proto), seed=SEED, record_steps=True)
 
 
+def assert_pinned(trace, digest):
+    v1 = v1_bytes(trace)
+    assert hashlib.sha256(v1).hexdigest() == digest
+    v2 = trace.to_jsonl_bytes()
+    assert v2 == v2_from_v1(v1)
+    for blob in (v1, v2):
+        assert Trace.from_jsonl_lines(io.BytesIO(blob)).steps == trace.steps
+    assert Trace.from_jsonl_lines(io.BytesIO(v2)).to_jsonl_bytes() == v2
+
+
 @pytest.mark.parametrize("name,mode", sorted(PINNED), ids=lambda x: x)
 def test_trace_bytes_pinned(name, mode):
-    trace = recorded_trace("random", N, name, mode)
-    assert hashlib.sha256(trace.to_jsonl_bytes()).hexdigest() == PINNED[(name, mode)]
+    assert_pinned(recorded_trace("random", N, name, mode), PINNED[(name, mode)])
 
 
 @pytest.mark.parametrize("family,name,mode", sorted(LONG_CHAINS), ids=lambda x: x)
 def test_long_chain_trace_bytes_pinned(family, name, mode):
     trace = recorded_trace(family, LONG_N, name, mode)
-    digest = hashlib.sha256(trace.to_jsonl_bytes()).hexdigest()
-    assert digest == LONG_CHAINS[(family, name, mode)]
+    assert_pinned(trace, LONG_CHAINS[(family, name, mode)])
 
 
 @pytest.mark.parametrize("family,name,mode", sorted(LADDERS), ids=lambda x: x)
 def test_ladder_trace_bytes_pinned(family, name, mode):
-    trace = recorded_trace(family, N, name, mode)
-    digest = hashlib.sha256(trace.to_jsonl_bytes()).hexdigest()
-    assert digest == LADDERS[(family, name, mode)]
+    assert_pinned(recorded_trace(family, N, name, mode), LADDERS[(family, name, mode)])
