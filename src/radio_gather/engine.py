@@ -301,10 +301,16 @@ class Trace:
         A step line in the writer's exact layout is parsed directly, and
         equal message texts load as one object; any other line goes
         through json.loads.  A step with no transmitter, reception or
-        collision is dropped, so /1's silent lines load to nothing."""
+        collision is dropped, so /1's silent lines load to nothing.
+
+        The records kept must describe a run: their steps are integers
+        that rise from 0 and stay below the summary's steps_executed.
+        Records out of order, repeated or past the run raise ValueError,
+        as does a steps_executed that is no integer."""
         header = None
         summary = None
         steps: list[StepRecord] = []
+        last = -1
         messages: dict[str, Message] = {}
         lists: dict[str, tuple[int, ...]] = {}
         for raw in fh:
@@ -334,9 +340,17 @@ class Trace:
                     collisions=tuple(obj["collisions"]),
                 )
             if rec.transmitters or rec.receptions or rec.collisions:
+                if type(rec.step) is not int or rec.step <= last:
+                    raise ValueError(f"step record {rec.step!r} does not follow step {last}")
+                last = rec.step
                 steps.append(rec)
         if header is None or summary is None:
             raise ValueError("trace stream is missing its header or summary record")
+        executed = summary["steps_executed"]
+        if type(executed) is not int:
+            raise ValueError(f"steps_executed {executed!r} is no step count")
+        if last >= executed:
+            raise ValueError(f"step record {last} lies past steps_executed {executed}")
         return cls(
             protocol=header["protocol"],
             n=header["n"],

@@ -145,6 +145,31 @@ def _probe_message(kind, rumor: int):
     return kind(rumor=rumor)
 
 
+def _clean_probe(seen, nxt, fire_set, kind, own_set, foreign_set) -> bool:
+    """Whether a probe's transmissions seen, with the arrival at nxt - 1,
+    pass every check of extract_schedule's walk, decided by whole-set
+    comparisons: the steps other than nxt are the fires other than nxt
+    and carry one message object, of kind, whose rumors are own_set; at
+    nxt the node sends nothing, or, if nxt is no fire, a message of kind
+    whose rumors are foreign_set.  False only means "walk this probe".
+    """
+    fires = seen
+    fwd = seen.get(nxt)
+    if fwd is not None:
+        if nxt in fire_set or type(fwd) is not kind or _carried(fwd) != foreign_set:
+            return False
+        fires = seen.copy()
+        del fires[nxt]
+    if (fires.keys() ^ fire_set) - {nxt}:
+        return False
+    if not fires:
+        return True
+    if len(set(map(id, fires.values()))) != 1:
+        return False
+    own = next(iter(fires.values()))
+    return type(own) is kind and _carried(own) == own_set
+
+
 def extract_schedule(
     protocol: Protocol,
     T: int | None = None,
@@ -165,11 +190,11 @@ def extract_schedule(
 
     Each probe replays a fresh state from step 0: rebuilding a state
     and making its acts costs less than copying one.  The probe
-    message and the expected rumor sets are built once per label, and
-    a probe reads the rumors of each distinct message object once,
-    through a dict keyed by id().  That is sound because the probe's
-    transmissions hold every object alive until its checks are done,
-    so no id is reused meanwhile.
+    message and the expected rumor sets are built once per label.  A
+    clean probe passes on whole-set comparisons (_clean_probe); any
+    other goes through a walk of its transmissions in step order, whose
+    only job is to name the first violation, so every NotOblivious
+    message is the one a walk of every probe would raise.
     """
     if protocol.needs_rng:
         raise NotOblivious("protocol draws randomness")
@@ -218,13 +243,12 @@ def extract_schedule(
                     inject_step=tau,
                     inject_msg=probe,
                 )
-                payloads = {}  # id(message) -> rumors; seen keeps each alive
+                if _clean_probe(seen, tau + 1, fire_set, kind, own_set, foreign_set):
+                    continue
                 for t, msg in seen.items():
                     if type(msg) is not kind:
                         raise NotOblivious(f"label {label} sent a {type(msg).__name__}")
-                    carried = payloads.get(id(msg))
-                    if carried is None:
-                        carried = payloads[id(msg)] = _carried(msg)
+                    carried = _carried(msg)
                     if t == tau + 1:
                         if t in fire_set:
                             raise NotOblivious(
@@ -452,18 +476,36 @@ def interval_success_samples(n: int, samples: int, seed: int = 0) -> float:
     return good / samples
 
 
+# Rows of one iid trial drawn at a time: small enough that a trial
+# stops soon after its last player first fires alone, large enough that
+# numpy's per-call cost stays small.
+IID_BLOCK = 256
+
+
 def iid_all_success(
     p: float, horizon: int, n: int, trials: int, seed: int = 0
 ) -> float:
     """Fraction of trials in which every one of n players, transmitting
     independently with probability p per step, fires alone at least
-    once within the horizon."""
+    once within the horizon.
+
+    A trial draws its horizon x n uniforms row-major, IID_BLOCK rows at
+    a time, and stops once every player has fired alone.  The rows it
+    leaves unread are skipped with bit_generator.advance: Generator.random
+    takes exactly one 64-bit output per double, so the next trial reads
+    the very stream that drawing the whole horizon would leave it, and
+    every result equals the full draw's."""
     rng = np.random.default_rng(seed)
     good = 0
     for _ in range(trials):
-        fires = rng.random((horizon, n)) < p
-        # the steps with exactly one firer
-        alone = fires[fires.sum(axis=1) == 1]
-        if alone.any(axis=0).all():
-            good += 1
+        alone = np.zeros(n, dtype=bool)
+        left = horizon
+        while left and not alone.all():
+            rows = min(IID_BLOCK, left)
+            left -= rows
+            fires = rng.random((rows, n)) < p
+            # the players of the steps with exactly one firer
+            alone |= fires[fires.sum(axis=1) == 1].any(axis=0)
+        rng.bit_generator.advance(left * n)
+        good += bool(alone.all())
     return good / trials

@@ -30,6 +30,7 @@ import pytest
 from radio_gather.engine import DuplexMode, FireAndForward, NodeView, Unbounded, run, step
 from radio_gather.protocols import PROTOCOL_NAMES, make_protocol, step_cap
 from radio_gather.trees import FAMILIES, build_tree, from_family
+from radio_gather.verify import FiringSchedule, schedule_protocol
 
 from test_engine import BEACON, Beacon
 
@@ -124,6 +125,27 @@ def test_run_matches_dense_reference(name, mode):
             proto = make_protocol(name, n, mode)
             where = f"{name} {mode.value} {family} n={n}"
             assert_matches_dense(tree, proto, mode, step_cap(proto), SEED, where)
+
+
+def random_schedule(n, seed):
+    """Each label fires at one to five random steps below T = 4n, so
+    fires crowd the steps and meet carried forwards and each other."""
+    rng = np.random.default_rng([seed, n])
+    T = 4 * n
+    fires = tuple(tuple(rng.integers(0, T, size=rng.integers(1, 6)).tolist()) for _ in range(n))
+    return FiringSchedule(n=n, T=T, fires=fires)
+
+
+@pytest.mark.parametrize("mode", list(DuplexMode), ids=lambda m: m.value)
+def test_firing_schedules_match_dense_reference(mode):
+    for family in FAMILIES:
+        for n in (16, 48):
+            tree = from_family(family, n, seed=SEED)
+            for seed in range(4):
+                sched = random_schedule(n, seed)
+                where = f"schedule {seed} {mode.value} {family} n={n}"
+                assert_matches_dense(tree, schedule_protocol(sched), mode,
+                                     sched.T + 2 * n, SEED, where)
 
 
 BEACON_TREES = [build_tree([0, 0, 1, 1, 0, 4, 4, 4], labels=range(8))] + [

@@ -522,8 +522,8 @@ SUMMARY = (b'{"collisions_total":0,"completion_step":null,"delivery":{"0":0},'
            b'"incomplete":true,"kind":"summary","steps_executed":9}\n')
 
 
-def load_steps(*lines):
-    return Trace.from_jsonl_lines(io.BytesIO(HEADER + b"".join(lines) + SUMMARY)).steps
+def load_steps(*lines, summary=SUMMARY):
+    return Trace.from_jsonl_lines(io.BytesIO(HEADER + b"".join(lines) + summary)).steps
 
 
 def step_from_json(line):
@@ -561,7 +561,12 @@ def test_reader_near_silent_lines_load_as_json_reads_them(line):
     # a step with nothing on the channel loads to no record
     kept = [want] if want.transmitters or want.receptions or want.collisions else []
     assert load_steps(line) == kept
-    assert load_steps(line, b"\n", line) == kept * 2
+    if kept:
+        # the same step twice describes no run
+        with pytest.raises(ValueError, match="does not follow"):
+            load_steps(line, b"\n", line)
+    else:
+        assert load_steps(line, b"\n", line) == []
 
 
 @pytest.mark.parametrize("line", [
@@ -588,9 +593,9 @@ def test_reader_silent_line_without_newline():
         assert load_steps(line) == want
 
 
-def rx_line(receptions):
-    return (b'{"collisions":[],"kind":"step","receptions":{%s},"step":3,"transmitters":[1,2]}\n'
-            % receptions)
+def rx_line(receptions, step=3):
+    return (b'{"collisions":[],"kind":"step","receptions":{%s},"step":%d,"transmitters":[1,2]}\n'
+            % (receptions, step))
 
 
 @pytest.mark.parametrize("receptions,direct", [
@@ -612,7 +617,9 @@ def test_reader_direct_step_lines_load_as_json_reads_them(receptions, direct):
     line = rx_line(receptions)
     assert (_parse_step_line(line.decode(), {}, {}) is not None) == direct
     assert load_steps(line) == [step_from_json(line)]
-    assert load_steps(line, line) == [step_from_json(line)] * 2
+    # again at a later step, with the message texts cached
+    later = rx_line(receptions, step=4)
+    assert load_steps(line, later) == [step_from_json(line), step_from_json(later)]
 
 
 @pytest.mark.parametrize("receptions", [
@@ -630,7 +637,7 @@ def test_reader_direct_step_lines_reject_what_json_rejects(receptions):
         load_steps(line)
     # once the message's text is cached, too
     with pytest.raises(ValueError):
-        load_steps(rx_line(b'"1":{"kind":"fnf","rumor":4}'), line)
+        load_steps(rx_line(b'"1":{"kind":"fnf","rumor":4}', step=2), line)
 
 
 @pytest.mark.parametrize("end", [b"\n", b""], ids=["newline", "eof"])
@@ -646,7 +653,9 @@ def test_reader_message_running_to_the_line_end(end):
 
 def loaded_as_json_reads(line):
     """What the reader must make of line: the step json.loads reads,
-    none for another kind or a silent step, or the error it raises."""
+    none for another kind or a silent step, or the error it raises.
+    A kept step that is no integer in [0, FAR_STEPS) describes no run
+    of FAR_SUMMARY's, and raises ValueError."""
     try:
         obj = json.loads(line)
         if obj.get("kind") != "step":
@@ -654,7 +663,16 @@ def loaded_as_json_reads(line):
         want = step_from_json(line)
     except Exception as exc:
         return type(exc)
-    return [want] if want.transmitters or want.receptions or want.collisions else []
+    if not (want.transmitters or want.receptions or want.collisions):
+        return []
+    if type(want.step) is not int or not 0 <= want.step < FAR_STEPS:
+        return ValueError
+    return [want]
+
+
+# a run long enough for every step number of the lines mutated below
+FAR_STEPS = 10 ** 6
+FAR_SUMMARY = SUMMARY.replace(b'"steps_executed":9', b'"steps_executed":%d' % FAR_STEPS)
 
 
 def test_reader_mutated_step_lines_load_as_json_reads_them():
@@ -687,10 +705,10 @@ def test_reader_mutated_step_lines_load_as_json_reads_them():
         line = bytes(line) + b"\n"
         want = loaded_as_json_reads(line)
         if isinstance(want, list):
-            assert load_steps(line) == want, line
+            assert load_steps(line, summary=FAR_SUMMARY) == want, line
         else:
             with pytest.raises(want):
-                load_steps(line)
+                load_steps(line, summary=FAR_SUMMARY)
 
 
 def test_reader_loads_equal_message_texts_as_one_object():
@@ -698,11 +716,59 @@ def test_reader_loads_equal_message_texts_as_one_object():
     rumors = b'{"aux":[["}",1]],"kind":"unbounded","rumors":[1,2]}'
     steps = load_steps(
         rx_line(b'"1":%s,"2":%s' % (fnf, rumors)),
-        rx_line(b'"7":%s,"9":%s' % (rumors, fnf)),
+        rx_line(b'"7":%s,"9":%s' % (rumors, fnf), step=4),
     )
     a, b = steps[0].receptions, steps[1].receptions
     assert a[1] is b[9] and a[2] is b[7]
     assert a[1] == FireAndForward(4) and a[2] == Unbounded(frozenset({1, 2}), aux=(("}", 1),))
+
+
+def ordered_trace(schema, active, steps_executed=4):
+    """A hand-written trace with ACTIVE's record at each step of active,
+    in that order, under schema /1 or /2.  Under /1 a silent line comes
+    first for every step below steps_executed: silent lines load to
+    nothing, so they take no part in the order."""
+    header = HEADER.replace(b"/1", b"/%d" % schema)
+    silent = [SILENT.replace(b'"step":5', b'"step":%d' % t)
+              for t in range(steps_executed)] if schema == 1 else []
+    lines = [ACTIVE.replace(b'"step":5', b'"step":%d' % t) for t in active]
+    summary = SUMMARY.replace(b'"steps_executed":9', b'"steps_executed":%d' % steps_executed)
+    return io.BytesIO(header + b"".join(silent + lines) + summary)
+
+
+@pytest.mark.parametrize("schema", [1, 2])
+@pytest.mark.parametrize("active, message", [
+    ([7, 2, 2], "step record 2 does not follow step 7"),
+    ([2, 1], "step record 1 does not follow step 2"),
+    ([1, 1], "step record 1 does not follow step 1"),
+    ([0, 2, 2, 3], "step record 2 does not follow step 2"),
+    ([1, 4], "step record 4 lies past steps_executed 4"),
+    ([4], "step record 4 lies past steps_executed 4"),
+])
+def test_reader_rejects_steps_that_describe_no_run(schema, active, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Trace.from_jsonl_lines(ordered_trace(schema, active))
+
+
+@pytest.mark.parametrize("step", [b"-1", b"2.0", b'"2"', b"true"])
+def test_reader_rejects_kept_steps_that_are_no_step_number(step):
+    line = ACTIVE.replace(b'"step":5', b'"step":%s' % step)
+    with pytest.raises(ValueError, match="does not follow step -1"):
+        load_steps(line)
+
+
+@pytest.mark.parametrize("executed", [b'"4"', b"4.0", b"null"])
+def test_reader_rejects_a_steps_executed_that_is_no_count(executed):
+    summary = SUMMARY.replace(b'"steps_executed":9', b'"steps_executed":%s' % executed)
+    with pytest.raises(ValueError, match="is no step count"):
+        load_steps(ACTIVE, summary=summary)
+
+
+@pytest.mark.parametrize("schema", [1, 2])
+def test_reader_keeps_rising_steps_below_steps_executed(schema):
+    trace = Trace.from_jsonl_lines(ordered_trace(schema, [0, 1, 3]))
+    assert [rec.step for rec in trace.steps] == [0, 1, 3]
+    assert trace.steps_executed == 4
 
 
 def test_trace_rejects_unknown_schema():

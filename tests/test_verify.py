@@ -1,12 +1,14 @@
 """Schedule extraction, witness search, and star-scheme statistics."""
 
+import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
 
-from radio_gather import trees
+from radio_gather import trees, verify
 from radio_gather.engine import (
     Bounded,
     DuplexMode,
@@ -292,6 +294,106 @@ def test_forwarding_the_wrong_kind_breaks_a_run_too():
             max_steps=HAND_T, stop_early=False)
 
 
+class ForwardsOverFire(Stepwise):
+    def decide(self, t, arrived, view):
+        if t in FIRES and arrived is not None:
+            return arrived
+        return super().decide(t, arrived, view)
+
+
+class ChangesALaterFire(Stepwise):
+    """Once a message has arrived, fires it at the last fire, but only
+    after firing its own rumor at the first: the probe then holds two
+    distinct fire objects, the first of them right."""
+
+    first = None
+
+    def decide(self, t, arrived, view):
+        out = super().decide(t, arrived, view)
+        if t == FIRES[0]:
+            self.first = out
+        if t == FIRES[-1] and out is self.own and view.inbox and self.first is self.own:
+            return view.inbox[-1][1]
+        return out
+
+
+class RepeatsAFire(Stepwise):
+    def decide(self, t, arrived, view):
+        if t == FIRES[0] + 1 and view.inbox:
+            return self.own
+        return super().decide(t, arrived, view)
+
+
+class FiresBoundedOnceItHeard(Stepwise):
+    """Fires at the last of FIRES only, and once a message has arrived
+    it fires a Bounded with its own rumor there: each probe that breaks
+    the kind rule holds one fire object, with the right rumor."""
+
+    def __init__(self, label, n):
+        super().__init__(label, n)
+        self.bounded = Bounded(rumor=label)
+
+    def decide(self, t, arrived, view):
+        if t == FIRES[-1] and arrived is None:
+            return self.bounded if view.inbox else self.own
+        return None if t in FIRES else arrived
+
+
+@pytest.mark.parametrize("cls, message", [
+    pytest.param(cls, message, id=cls.__name__) for cls, message in [
+        (ForwardsOverFire, "label 0 fired at 3 over a fresh arrival"),
+        (ChangesALaterFire, "label 0 changed its fire payload at 7"),
+        (RepeatsAFire, "label 0 transmitted off schedule at 4"),
+        (FiresBoundedOnceItHeard, "label 0 sent a Bounded"),
+    ]
+])
+def test_extract_names_violations_among_clean_looking_sets(cls, message):
+    # each violation hides in a probe that one whole-set comparison
+    # alone would pass: a fire at tau + 1 that forwards the probe, a
+    # second fire object, an extra step that sends the own message, or
+    # one fire object of the wrong kind with the right rumor
+    with pytest.raises(NotOblivious, match=f"^{re.escape(message)}$"):
+        extract_schedule(hand_protocol(cls), T=HAND_T)
+
+
+def sends_copies(proto):
+    """proto whose states send a fresh, equal copy of every message: a
+    new object at each fire, and a copy of each arrival they forward."""
+    factory = proto.state_factory
+
+    def copying(label, n, mode, rng):
+        state = factory(label, n, mode, rng)
+
+        def act(view, inner=state.act):
+            msg = inner(view)
+            return None if msg is None else dataclasses.replace(msg)
+
+        state.act = act
+        return state
+
+    return dataclasses.replace(proto, state_factory=copying)
+
+
+@pytest.mark.parametrize("mode", [FULL, DuplexMode.HALF], ids=["full", "half"])
+def test_extract_accepts_copies_through_the_walk(monkeypatch, mode):
+    verdicts = []
+    bulk = verify._clean_probe
+
+    def spy(*args):
+        verdicts.append(bulk(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "_clean_probe", spy)
+    proto = make_protocol("mls", 32, mode)
+    want = extract_schedule(proto)
+    # every probe of mls passes on whole-set comparisons
+    assert verdicts and all(verdicts)
+    verdicts.clear()
+    # copies are no one message object, so the walk takes every probe
+    assert extract_schedule(sends_copies(proto)) == want
+    assert verdicts and not any(verdicts)
+
+
 class FiresBeforeZero(Stepwise):
     """Would fire at any step below 0; acts start at 0 all the same."""
 
@@ -498,3 +600,63 @@ def test_interval_all_success_gap():
 def test_iid_all_success():
     assert iid_all_success(0.125, horizon=200, n=8, trials=50, seed=3) >= 0.9
     assert iid_all_success(0.0, horizon=50, n=4, trials=10, seed=3) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the early-stopping iid check against the full draw it replaced
+
+
+def reference_iid_all_success(p, horizon, n, trials, seed=0):
+    """The full draw: every trial reads all horizon x n uniforms."""
+    rng = np.random.default_rng(seed)
+    good = 0
+    for _ in range(trials):
+        fires = rng.random((horizon, n)) < p
+        # the steps with exactly one firer
+        alone = fires[fires.sum(axis=1) == 1]
+        if alone.any(axis=0).all():
+            good += 1
+    return good / trials
+
+
+def iid_grid(block):
+    """(p, horizon, n) around a block of the given size: no steps, one
+    step, a row below, at and above a block, two blocks and a bit, and
+    about e n ln n, where trials at p = 1/n split."""
+    for n in (1, 2, 8, 64):
+        near = math.ceil(math.e * n * math.log(n)) if n > 1 else 3
+        for p in (0.0, 1 / n, 0.3, 1.0):
+            for horizon in sorted({0, 1, block - 1, block, block + 1, 2 * block + 3, near}):
+                yield p, horizon, n
+
+
+@pytest.mark.parametrize("block", [5, verify.IID_BLOCK])
+def test_iid_early_stop_equals_the_full_draw(monkeypatch, block):
+    monkeypatch.setattr(verify, "IID_BLOCK", block)
+    fractions = []
+    for p, horizon, n in iid_grid(block):
+        for seed in range(10):
+            got = iid_all_success(p, horizon, n, trials=5, seed=seed)
+            assert got == reference_iid_all_success(p, horizon, n, 5, seed), (p, horizon, n, seed)
+            fractions.append(got)
+    # a stream off by one draw would show in the trials that split
+    assert sum(0 < f < 1 for f in fractions) >= 20
+
+
+# the fractions at the full draw, for lower-bound's two calls (seeds 100
+# and 101), test_iid_all_success's two, and horizons where trials split
+IID_PINS = [
+    ((1 / 64, 2895, 64, 100, 100), 1.0),
+    ((1 / 64, 174, 64, 100, 101), 0.0),
+    ((0.125, 200, 8, 50, 3), 1.0),
+    ((0.0, 50, 4, 10, 3), 0.0),
+    ((1 / 64, 724, 64, 100, 100), 0.33),
+    ((1 / 64, 724, 64, 100, 101), 0.39),
+    ((1 / 64, 800, 64, 100, 100), 0.55),
+    ((0.125, 40, 8, 50, 3), 0.3),
+]
+
+
+@pytest.mark.parametrize("args, fraction", IID_PINS, ids=[str(a) for a, _ in IID_PINS])
+def test_iid_all_success_pinned(args, fraction):
+    assert iid_all_success(*args) == fraction
