@@ -71,9 +71,9 @@ class ProtocolViolatedMessageBound(TypeError):
 
 @dataclasses.dataclass(frozen=True)
 class Unbounded:
-    """Arbitrarily large rumor set, plus an optional small key-value record."""
+    """Arbitrarily large rumor set (bit r of mask is rumor r), plus a small key-value record."""
 
-    rumors: frozenset[int]
+    mask: int
     aux: tuple[tuple[str, int], ...] = ()
 
 
@@ -506,21 +506,37 @@ def _json_int(x: int | None) -> str:
 
 def _message_text(m: Message) -> str:
     """_ENCODER.encode(message_to_json(m)), formatted directly for the
-    two small kinds."""
+    three kinds."""
     if type(m) is FireAndForward:
         return '{"kind":"fnf","rumor":%d}' % m.rumor
     if type(m) is Bounded:
         return '{"height2":%s,"kind":"bounded","parity":%s,"rumor":%d,"sender":%s}' % (
             _json_int(m.height2), _json_int(m.parity), m.rumor, _json_int(m.sender)
         )
+    if type(m) is Unbounded:
+        return '{"aux":%s,"kind":"unbounded","rumors":[%s]}' % (
+            _ENCODER.encode([list(kv) for kv in m.aux]), ",".join(map(str, mask_bits(m.mask)))
+        )
     return _ENCODER.encode(message_to_json(m))
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The rumors of a mask, ascending: the one way a mask is listed."""
+    if mask < 0:
+        raise ValueError(f"a rumor mask is never negative, got {mask}")
+    out = []
+    while mask:
+        r = mask.bit_length() - 1
+        out.append(r)
+        mask ^= 1 << r
+    return out[::-1]
 
 
 def message_to_json(m: Message) -> dict:
     if isinstance(m, Unbounded):
         return {
             "kind": "unbounded",
-            "rumors": sorted(m.rumors),
+            "rumors": mask_bits(m.mask),
             "aux": [list(kv) for kv in m.aux],
         }
     if isinstance(m, Bounded):
@@ -536,22 +552,40 @@ def message_to_json(m: Message) -> dict:
     raise TypeError(f"not a message: {m!r}")
 
 
+# Every label a message carries lies below this, which bounds the mask
+# a rumor list read from a trace can ask for (2 MB).
+LABEL_LIMIT = 1 << 24
+
+
+def _label(x, optional: bool = False):
+    """x if it is a label (an int, not a bool, in [0, LABEL_LIMIT)) or,
+    where the field is optional, None; anything else is a ValueError."""
+    if type(x) is int and 0 <= x < LABEL_LIMIT or optional and x is None:
+        return x
+    raise ValueError(f"message field {x!r} is not a label")
+
+
 def message_from_json(obj: dict) -> Message:
+    """The message message_to_json gave obj.  Every rumor, sender, height2
+    and parity must be a label, or null where it is optional."""
     kind = obj["kind"]
     if kind == "unbounded":
-        return Unbounded(
-            rumors=frozenset(obj["rumors"]),
-            aux=tuple((k, v) for k, v in obj["aux"]),
-        )
+        rumors = obj["rumors"]
+        if type(rumors) is not list:
+            raise ValueError(f"rumors {rumors!r} is not a list")
+        mask = 0
+        for r in rumors:
+            mask |= 1 << _label(r)
+        return Unbounded(mask, aux=tuple((k, v) for k, v in obj["aux"]))
     if kind == "bounded":
         return Bounded(
-            rumor=obj["rumor"],
-            sender=obj["sender"],
-            height2=obj["height2"],
-            parity=obj["parity"],
+            rumor=_label(obj["rumor"]),
+            sender=_label(obj["sender"], True),
+            height2=_label(obj["height2"], True),
+            parity=_label(obj["parity"], True),
         )
     if kind == "fnf":
-        return FireAndForward(rumor=obj["rumor"])
+        return FireAndForward(rumor=_label(obj["rumor"]))
     raise ValueError(f"unknown message kind {kind!r}")
 
 
@@ -607,6 +641,7 @@ def run(
     parent = tree.parent
     half = mode is DuplexMode.HALF
     delivery: dict[int, int] = {tree.label[root]: 0}
+    got = 1 << tree.label[root]  # delivered rumors as a mask, kept for Unbounded
     completion: int | None = 0 if n == 1 else None
     collisions_total = 0
     recorded: list[StepRecord] | None = [] if record_steps else None
@@ -726,8 +761,9 @@ def run(
                     heard[p] = msg
             if p == root:
                 if mkind is Unbounded:
-                    for r in msg.rumors:
-                        delivery.setdefault(r, t)
+                    for r in mask_bits(msg.mask & ~got):
+                        delivery[r] = t
+                    got |= msg.mask
                 else:
                     delivery.setdefault(msg.rumor, t)
                 if completion is None and len(delivery) == n:

@@ -38,7 +38,7 @@ from .selectors import (
     MissingSelectiveFamily,
     SelectiveFamily,
     build_disperser,
-    build_selective_family,  # noqa: F401  re-exported; timing probes patch it here
+    build_selective_family,  # noqa: F401  unused here; perfbench/layers.py patches this name
     kautz_singleton_family,
     singleton_family,
 )
@@ -80,32 +80,21 @@ def _take_arrival(view, cursor: int, t: int):
 
 
 class UnboundedRumors(ProtocolState):
-    """The rumor set an unbounded-message state gathers and transmits.
-
-    Each transmitted set is one node's whole history, so a received set
-    either is already known or strictly extends what the receiver has;
-    the id() cache skips re-unions of sets seen before.  The cache is
-    sound only while the inbox keeps every received message, and so its
-    rumor set, alive: a freed set's id could be reused by a new one.
-    The outgoing message is built once per change of the set.
-    """
+    """The rumor set an unbounded-message state gathers and transmits, a
+    mask with bit r for rumor r; its message is built once per change."""
 
     def __init__(self, label: int):
-        self.rumors = {label}
-        self._seen: set[int] = set()
+        self.mask = 1 << label
         self._msg: Unbounded | None = None
 
     def _receive(self, step: int, msg: Unbounded) -> None:
-        rs = msg.rumors
-        if id(rs) not in self._seen:
-            self._seen.add(id(rs))
-            if not rs <= self.rumors:
-                self.rumors |= rs
-                self._msg = None
+        if msg.mask & ~self.mask:
+            self.mask |= msg.mask
+            self._msg = None
 
     def _message(self) -> Unbounded:
         if self._msg is None:
-            self._msg = Unbounded(frozenset(self.rumors))
+            self._msg = Unbounded(self.mask)
         return self._msg
 
 
@@ -324,9 +313,8 @@ class LadderFloodState(UnboundedRumors, CensusLadderState):
         UnboundedRumors.__init__(self, label)
 
     def _missing_sender(self, msg: Unbounded) -> int | None:
-        rs = msg.rumors
         for c in self.missing:
-            if c in rs:
+            if msg.mask >> c & 1:
                 return c
         return None
 
@@ -574,15 +562,15 @@ class ScheduledFireForwardState(ProtocolState):
     object itself: messages are immutable, so sharing them is safe.
     A forward between fires moves neither the fire pointer nor the
     sleep promise, which is what ProtocolState.forwards promises.
+    fires is taken as given: a tuple of distinct steps, ascending.
     """
 
     forwards = True
 
-    def __init__(self, label: int, fires):
+    def __init__(self, label: int, fires: tuple[int, ...]):
         self.own = FireAndForward(label)
-        self.fires = tuple(sorted(set(fires)))
         # the fires, closed by a step no clock reaches
-        self._steps = self.fires + (SLEEP_FOREVER,)
+        self._steps = fires + (SLEEP_FOREVER,)
         self._cursor = 0
         self._fp = 0
         self.asleep_until = self._steps[0]
@@ -772,16 +760,15 @@ def make_protocol(
             raise ValueError(f"disperser mode {d.mode.value} != protocol mode {mode.value}")
         span = d.s + n
         batches = -(-n // d.m)
-
-        def factory(label, n_, mode_, rng, d=d, span=span):
-            batch, j = divmod(label, d.m)
-            fires = [batch * span + tau for tau in d.offsets(j + 1)]
-            return ScheduledFireForwardState(label, fires)
-
+        # label b * m + j fires at b * span plus the offsets of index j + 1
+        offsets = [sorted(set(offs)) for offs in d.sets]
+        fires = [tuple([b * span + tau for tau in offs]) for b in range(batches) for offs in offsets]
         return Protocol(
             name="mls",
             message_kind=FireAndForward,
-            state_factory=factory,
+            state_factory=lambda label, n_, mode_, rng: ScheduledFireForwardState(
+                label, fires[label]
+            ),
             n=n,
             mode=mode,
             horizon=batches * span,

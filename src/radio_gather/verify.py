@@ -26,6 +26,7 @@ from .engine import (
     Protocol,
     SLEEP_FOREVER,
     Unbounded,
+    mask_bits,
     run,
 )
 from .protocols import ScheduledFireForwardState
@@ -98,10 +99,10 @@ class FiringSchedule:
         return cls.from_json(text)
 
 
-def _carried(msg) -> frozenset[int]:
+def _carried(msg) -> int:
     if isinstance(msg, Unbounded):
-        return frozenset(msg.rumors)
-    return frozenset((msg.rumor,))
+        return msg.mask
+    return 1 << msg.rumor
 
 
 def _replay(state, view, T: int, inject_step: int | None = None, inject_msg=None):
@@ -137,12 +138,6 @@ def _replay(state, view, T: int, inject_step: int | None = None, inject_msg=None
         if t > stop:
             t = stop
         stop = T
-
-
-def _probe_message(kind, rumor: int):
-    if kind is Unbounded:
-        return Unbounded(rumors=frozenset((rumor,)))
-    return kind(rumor=rumor)
 
 
 def _clean_probe(seen, nxt, fire_set, kind, own_set, foreign_set) -> bool:
@@ -211,7 +206,7 @@ def extract_schedule(
     for label in range(n):
         state = protocol.state_factory(label, n, mode, None)
         silent = _replay(state, NodeView(label, n), horizon)
-        own_set = frozenset((label,))
+        own_set = 1 << label
         for t, msg in silent.items():
             if type(msg) is not kind:
                 raise NotOblivious(f"label {label} sent a {type(msg).__name__}")
@@ -224,8 +219,8 @@ def extract_schedule(
 
         if n > 1:
             foreign = (label + 1) % n
-            probe = _probe_message(kind, foreign)
-            foreign_set = frozenset((foreign,))
+            probe = Unbounded(1 << foreign) if kind is Unbounded else kind(rumor=foreign)
+            foreign_set = 1 << foreign
             taus = {0, max(0, horizon - 2)}
             for f in fires:
                 taus.add(f)
@@ -256,7 +251,7 @@ def extract_schedule(
                             )
                         if carried != foreign_set:
                             raise NotOblivious(
-                                f"label {label} sent {sorted(carried)} at {t}, "
+                                f"label {label} sent {mask_bits(carried)} at {t}, "
                                 f"not the forwarded rumor"
                             )
                     elif t not in fire_set:
@@ -282,7 +277,7 @@ def schedule_protocol(
 ) -> Protocol:
     """Replay a firing schedule as a protocol.  Labels beyond the
     schedule (relay nodes on a witness tree) never fire, only forward."""
-    fires = sched.fires
+    fires = tuple(tuple(sorted(set(f))) for f in sched.fires)
 
     def factory(label, n_, mode_, rng):
         own = fires[label] if label < len(fires) else ()

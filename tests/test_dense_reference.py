@@ -94,7 +94,11 @@ def dense_run(tree, proto, mode, max_steps, seed):
                 relayed[p] = (msg, states[p].asleep_until)
             due[p] = min(due[p], t + 1)
             if p == root:
-                for r in msg.rumors if isinstance(msg, Unbounded) else (msg.rumor,):
+                if isinstance(msg, Unbounded):
+                    rumors = [r for r in range(n) if msg.mask >> r & 1]
+                else:
+                    rumors = [msg.rumor]
+                for r in rumors:
                     delivery.setdefault(r, t)
                 if len(delivery) == n:
                     completion = max(delivery.values())

@@ -10,6 +10,7 @@ from radio_gather.engine import (
     Bounded,
     DuplexMode,
     FireAndForward,
+    LABEL_LIMIT,
     NodeView,
     Protocol,
     ProtocolState,
@@ -21,6 +22,7 @@ from radio_gather.engine import (
     _dump_line,
     _parse_step_line,
     _step_lines,
+    mask_bits,
     message_from_json,
     message_to_json,
     run,
@@ -450,8 +452,8 @@ def test_trace_without_records_roundtrip():
 
 def test_message_json_roundtrip():
     msgs = [
-        Unbounded(frozenset({1, 5, 7}), aux=(("hops", 3),)),
-        Unbounded(frozenset()),
+        Unbounded(0b10100010, aux=(("hops", 3),)),
+        Unbounded(0),
         Bounded(rumor=4, sender=2, height2=1, parity=0),
         Bounded(rumor=0),
         FireAndForward(rumor=9),
@@ -505,9 +507,9 @@ def test_step_writer_matches_generic_encoding_on_hand_built_records():
         StepRecord(4, (1, 2), {0: Bounded(rumor=6, sender=2, height2=0, parity=0),
                                1: Bounded(rumor=0, sender=5, height2=3, parity=1)}, ()),
         StepRecord(5, (3, 12, 13), {10: shared, 2: shared}, (9, 40)),
-        StepRecord(6, (8,), {10: Unbounded(frozenset(), aux=(("hops", 3), ("x", 0)))}, ()),
-        StepRecord(7, (8, 9), {2: Unbounded(frozenset({5, 1, 30})),
-                               10: Unbounded(frozenset({2}), aux=(("k", -1),))}, (1,)),
+        StepRecord(6, (8,), {10: Unbounded(0, aux=(("hops", 3), ("x", 0)))}, ()),
+        StepRecord(7, (8, 9), {2: Unbounded(1 << 5 | 1 << 1 | 1 << 30),
+                               10: Unbounded(1 << 2, aux=(("k", -1),))}, (1,)),
         StepRecord(123456789, (), {}, ()),
     ]
     assert_steps_match_reference(steps)
@@ -640,6 +642,43 @@ def test_reader_direct_step_lines_reject_what_json_rejects(receptions):
         load_steps(rx_line(b'"1":{"kind":"fnf","rumor":4}', step=2), line)
 
 
+FNF = b'{"kind":"fnf","rumor":4}'
+BOUNDED = b'{"height2":1,"kind":"bounded","parity":null,"rumor":4,"sender":2}'
+UNBOUNDED = b'{"aux":[],"kind":"unbounded","rumors":[1,2]}'
+
+
+@pytest.mark.parametrize("message", [
+    FNF.replace(b"4", b'"a"'),
+    FNF.replace(b"4", b"true"),
+    FNF.replace(b"4", b"1.0"),
+    FNF.replace(b"4", b"-1"),
+    FNF.replace(b"4", b"null"),
+    BOUNDED.replace(b'"rumor":4', b'"rumor":"x"'),
+    BOUNDED.replace(b'"rumor":4', b'"rumor":true'),
+    BOUNDED.replace(b'"rumor":4', b'"rumor":1.0'),
+    BOUNDED.replace(b'"height2":1', b'"height2":"h"'),
+    BOUNDED.replace(b'"sender":2', b'"sender":false'),
+    BOUNDED.replace(b'"parity":null', b'"parity":[0]'),
+    UNBOUNDED.replace(b"[1,2]", b"[-1]"),
+    UNBOUNDED.replace(b"[1,2]", b'["a"]'),
+    UNBOUNDED.replace(b"[1,2]", b"[1.5]"),
+    UNBOUNDED.replace(b"[1,2]", b"[[1]]"),
+    UNBOUNDED.replace(b"[1,2]", b"[1,true]"),
+    UNBOUNDED.replace(b"[1,2]", b'"12"'),
+    UNBOUNDED.replace(b"[1,2]", b"[%d]" % LABEL_LIMIT),
+], ids=repr)
+def test_reader_rejects_message_fields_that_are_no_labels(message):
+    # each rumor, sender, height2 and parity is a label or, where it is
+    # optional, null; the writer's layout and json.loads agree on that
+    direct = rx_line(b'"1":%s' % message)
+    generic = direct.replace(b'{"collisions":', b'{"collisions": ')
+    for line in (direct, generic):
+        with pytest.raises(ValueError):
+            load_steps(line)
+    with pytest.raises(ValueError):
+        message_from_json(json.loads(message))
+
+
 @pytest.mark.parametrize("end", [b"\n", b""], ids=["newline", "eof"])
 def test_reader_message_running_to_the_line_end(end):
     # the receptions object is never closed: the message swallows what
@@ -720,7 +759,7 @@ def test_reader_loads_equal_message_texts_as_one_object():
     )
     a, b = steps[0].receptions, steps[1].receptions
     assert a[1] is b[9] and a[2] is b[7]
-    assert a[1] == FireAndForward(4) and a[2] == Unbounded(frozenset({1, 2}), aux=(("}", 1),))
+    assert a[1] == FireAndForward(4) and a[2] == Unbounded(0b110, aux=(("}", 1),))
 
 
 def ordered_trace(schema, active, steps_executed=4):
@@ -777,29 +816,41 @@ def test_trace_rejects_unknown_schema():
         Trace.from_jsonl_lines(io.BytesIO(bad))
 
 
+def test_mask_bits_lists_rumors_ascending():
+    assert mask_bits(0) == []
+    assert mask_bits(0b1011) == [0, 1, 3]
+    assert mask_bits(1 << 200 | 1 << 7) == [7, 200]
+    # a negative int has infinitely many set bits: no rumor set
+    with pytest.raises(ValueError):
+        mask_bits(-2)
+
+
 def test_unbounded_delivery_unpacks_rumor_sets():
-    # a single unbounded message can complete several rumors at once
+    # a single unbounded message can complete several rumors at once; a
+    # later one that overlaps it delivers only its new rumors, at its step
+    sends = {1: (3, 0b001110), 2: (5, 0b111101)}
+
     class Blast(ProtocolState):
-        def __init__(self, label, n):
-            self.own = label
-            self.n = n
-            self.asleep_until = 3 if label == 1 else SLEEP_FOREVER
+        def __init__(self, label):
+            self.at, self.mask = sends.get(label, (SLEEP_FOREVER, 0))
+            self.asleep_until = self.at
 
         def act(self, view):
             self.asleep_until = SLEEP_FOREVER
-            if view.time == 3:
-                return Unbounded(frozenset(range(self.n)))
+            if view.time == self.at:
+                return Unbounded(self.mask)
             return None
 
     proto = Protocol(
         name="blast",
         message_kind=Unbounded,
-        state_factory=lambda label, n, mode, rng: Blast(label, n),
+        state_factory=lambda label, n, mode, rng: Blast(label),
     )
     tree = make_star(6)
     trace = run(tree, proto, FULL, max_steps=10)
-    assert trace.completion_step == 3
-    assert trace.delivery == {0: 0, 1: 3, 2: 3, 3: 3, 4: 3, 5: 3}
+    assert trace.completion_step == 5
+    # the root's own rumor and rumors 1-3 keep their first steps
+    assert trace.delivery == {0: 0, 1: 3, 2: 3, 3: 3, 4: 5, 5: 5}
 
 
 # ------------------------------------------------ standing beats and relays
