@@ -71,10 +71,9 @@ class ProtocolViolatedMessageBound(TypeError):
 
 @dataclasses.dataclass(frozen=True)
 class Unbounded:
-    """Arbitrarily large rumor set (bit r of mask is rumor r), plus a small key-value record."""
+    """Arbitrarily large rumor set: bit r of mask is rumor r."""
 
     mask: int
-    aux: tuple[tuple[str, int], ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,14 +107,13 @@ class NodeView:
     the relay hops run() sends itself (ProtocolState.forwards).
     """
 
-    __slots__ = ("label", "n", "time", "inbox", "own_rumor")
+    __slots__ = ("label", "n", "time", "inbox")
 
     def __init__(self, label: int, n: int):
         self.label = label
         self.n = n
         self.time = 0
         self.inbox: list[tuple[int, Message]] = []
-        self.own_rumor = label
 
 
 class ProtocolState:
@@ -247,10 +245,13 @@ class Trace:
     max_steps: int
     delivery: dict[int, int]
     completion_step: int | None
-    incomplete: bool
     collisions_total: int
     steps_executed: int
     steps: list[StepRecord] | None = None
+
+    @property
+    def incomplete(self) -> bool:
+        return self.completion_step is None
 
     def to_jsonl_bytes(self) -> bytes:
         """The trace as JSONL.  Header and summary go through the
@@ -303,10 +304,13 @@ class Trace:
         through json.loads.  A step with no transmitter, reception or
         collision is dropped, so /1's silent lines load to nothing.
 
-        The records kept must describe a run: their steps are integers
-        that rise from 0 and stay below the summary's steps_executed.
-        Records out of order, repeated or past the run raise ValueError,
-        as does a steps_executed that is no integer."""
+        The records kept must describe a run of the header's n-node
+        tree: the header comes first, every node id, rumor and sender
+        lies below n, and the steps are integers that rise from 0 and
+        stay below the summary's steps_executed.  Anything else raises
+        ValueError, as does a steps_executed that is no integer or a
+        summary whose incomplete contradicts its completion_step.  Ids
+        are checked once per distinct message and id list text."""
         header = None
         summary = None
         steps: list[StepRecord] = []
@@ -315,30 +319,39 @@ class Trace:
         lists: dict[str, tuple[int, ...]] = {}
         for raw in fh:
             rec = None
-            if raw[:_NPREFIX] == _STEP_PREFIX:
+            if raw[:_NPREFIX] == _STEP_PREFIX and header is not None:
                 line = raw.decode("utf-8", "surrogatepass")
-                rec = _parse_step_line(line, messages, lists)
+                rec = _parse_step_line(line, n, messages, lists)
             if rec is None:
                 if not raw.strip():
                     continue
                 obj = json.loads(raw)
                 kind = obj.get("kind")
                 if kind == "header":
+                    if header is not None:
+                        raise ValueError("a second header record")
                     if obj.get("schema") not in READ_SCHEMAS:
                         raise ValueError(f"unknown trace schema {obj.get('schema')!r}")
+                    n = obj.get("n")
+                    if type(n) is not int or not 1 <= n <= LABEL_LIMIT:
+                        raise ValueError(f"header n {n!r} is no tree size")
                     header = obj
                 elif kind == "summary":
                     summary = obj
                 if kind != "step":
                     continue
+                if header is None:
+                    raise ValueError("a step record comes before the header")
                 rec = StepRecord(
                     step=obj["step"],
                     transmitters=tuple(obj["transmitters"]),
                     receptions={
-                        int(v): message_from_json(m) for v, m in obj["receptions"].items()
+                        int(v): message_from_json(m, n) for v, m in obj["receptions"].items()
                     },
                     collisions=tuple(obj["collisions"]),
                 )
+                if not _below(rec.transmitters + rec.collisions + tuple(rec.receptions), n):
+                    raise ValueError(f"step record {rec.step!r} names a node outside 0..{n - 1}")
             if rec.transmitters or rec.receptions or rec.collisions:
                 if type(rec.step) is not int or rec.step <= last:
                     raise ValueError(f"step record {rec.step!r} does not follow step {last}")
@@ -351,6 +364,10 @@ class Trace:
             raise ValueError(f"steps_executed {executed!r} is no step count")
         if last >= executed:
             raise ValueError(f"step record {last} lies past steps_executed {executed}")
+        completion = summary["completion_step"]
+        if summary["incomplete"] is not (completion is None):
+            raise ValueError(f"incomplete {summary['incomplete']!r} contradicts "
+                             f"completion_step {completion!r}")
         return cls(
             protocol=header["protocol"],
             n=header["n"],
@@ -358,8 +375,7 @@ class Trace:
             seed=header["seed"],
             max_steps=header["max_steps"],
             delivery={int(r): t for r, t in summary["delivery"].items()},
-            completion_step=summary["completion_step"],
-            incomplete=summary["incomplete"],
+            completion_step=completion,
             collisions_total=summary["collisions_total"],
             steps_executed=summary["steps_executed"],
             steps=steps if header["recorded"] else None,
@@ -418,32 +434,37 @@ _TX_KEY = ',"transmitters":['
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _int_list(text: str, seen: dict[str, tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The integers of a comma-separated text as json reads them, or None
-    unless each is written as str() writes it.  seen caches the texts
-    already read."""
+def _below(ids, n: int) -> bool:
+    """Whether every id is a node of an n-node tree."""
+    return all(type(v) is int and 0 <= v < n for v in ids)
+
+
+def _int_list(text: str, n: int, seen: dict[str, tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The node ids of a comma-separated text as json reads them, or None
+    unless each is written as str() writes it and lies below n.  seen
+    caches the texts already read."""
     got = seen.get(text)
     if got is None:
         try:
             got = tuple(map(int, text.split(","))) if text else ()
         except ValueError:
             return None
-        if ",".join(map(str, got)) != text:
+        if ",".join(map(str, got)) != text or not _below(got, n):
             return None
         seen[text] = got
     return got
 
 
 def _parse_step_line(
-    line: str, messages: dict[str, Message], lists: dict[str, tuple[int, ...]]
+    line: str, n: int, messages: dict[str, Message], lists: dict[str, tuple[int, ...]]
 ) -> StepRecord | None:
     """The record json.loads would read from line, or None unless line
     has _STEP_LINE's layout with reception entries that cover the
-    receptions text exactly.  messages maps each message text already
-    loaded to its object, and lists each integer list text already read.
-    A cached message text is a whole JSON object, so when the text up
-    to the next "}" is cached, that "}" ends the message; otherwise the
-    JSON scanner finds its end."""
+    receptions text exactly and every id lies below n.  messages maps
+    each message text already loaded to its object, and lists each id
+    list text already read.  A cached message text is a whole JSON
+    object, so when the text up to the next "}" is cached, that "}"
+    ends the message; otherwise the JSON scanner finds its end."""
     if not line.startswith(_STEP_OPEN):
         return None
     i = line.find(_RX_OPEN, _NPREFIX)
@@ -455,8 +476,8 @@ def _parse_step_line(
     close = -3 if line.endswith("]}\n") else -2 if line.endswith("]}") else 0
     if k < 0 or not close:
         return None
-    col = _int_list(line[_NPREFIX:i], lists)
-    tx = _int_list(line[k + len(_TX_KEY):close], lists)
+    col = _int_list(line[_NPREFIX:i], n, lists)
+    tx = _int_list(line[k + len(_TX_KEY):close], n, lists)
     t = line[j + len(_STEP_KEY):k]
     try:
         step = int(t)
@@ -469,7 +490,8 @@ def _parse_step_line(
     while p < j:
         c = line.find('":{', p)
         key = line[p + 1:c]
-        if line[p] != '"' or not (key.isdigit() and key.isascii()):
+        v = int(key) if line[p] == '"' and key.isdigit() and key.isascii() else n
+        if v >= n:
             return None
         p = c + 2
         q = line.find("}", p) + 1
@@ -480,11 +502,11 @@ def _parse_step_line(
                 text = line[p:q]
                 msg = messages.get(text)
                 if msg is None:
-                    msg = messages[text] = message_from_json(obj)
-            except (KeyError, TypeError, ValueError):
+                    msg = messages[text] = message_from_json(obj, n)
+            except ValueError:
                 # json.loads decides: a later duplicate key may replace it
                 return None
-        rx[int(key)] = msg
+        rx[v] = msg
         if q == j:
             break
         if line[q:q + 1] != ",":
@@ -514,9 +536,7 @@ def _message_text(m: Message) -> str:
             _json_int(m.height2), _json_int(m.parity), m.rumor, _json_int(m.sender)
         )
     if type(m) is Unbounded:
-        return '{"aux":%s,"kind":"unbounded","rumors":[%s]}' % (
-            _ENCODER.encode([list(kv) for kv in m.aux]), ",".join(map(str, mask_bits(m.mask)))
-        )
+        return '{"aux":[],"kind":"unbounded","rumors":[%s]}' % ",".join(map(str, mask_bits(m.mask)))
     return _ENCODER.encode(message_to_json(m))
 
 
@@ -537,7 +557,7 @@ def message_to_json(m: Message) -> dict:
         return {
             "kind": "unbounded",
             "rumors": mask_bits(m.mask),
-            "aux": [list(kv) for kv in m.aux],
+            "aux": [],
         }
     if isinstance(m, Bounded):
         return {
@@ -557,36 +577,46 @@ def message_to_json(m: Message) -> dict:
 LABEL_LIMIT = 1 << 24
 
 
-def _label(x, optional: bool = False):
-    """x if it is a label (an int, not a bool, in [0, LABEL_LIMIT)) or,
-    where the field is optional, None; anything else is a ValueError."""
-    if type(x) is int and 0 <= x < LABEL_LIMIT or optional and x is None:
+# Each kind's fields, as message_to_json writes them.
+_KINDS = {
+    frozenset(("aux", "kind", "rumors")): "unbounded",
+    frozenset(("height2", "kind", "parity", "rumor", "sender")): "bounded",
+    frozenset(("kind", "rumor")): "fnf",
+}
+
+
+def _label(x, limit: int = LABEL_LIMIT, optional: bool = False):
+    """x if it is a label (an int, not a bool, in [0, limit)) or, where
+    the field is optional, None; anything else is a ValueError."""
+    if type(x) is int and 0 <= x < limit or optional and x is None:
         return x
-    raise ValueError(f"message field {x!r} is not a label")
+    raise ValueError(f"message field {x!r} is not a label below {limit}")
 
 
-def message_from_json(obj: dict) -> Message:
-    """The message message_to_json gave obj.  Every rumor, sender, height2
-    and parity must be a label, or null where it is optional."""
-    kind = obj["kind"]
+def message_from_json(obj: dict, n: int = LABEL_LIMIT) -> Message:
+    """The message message_to_json gave obj: its kind's fields and no
+    others, aux empty.  Every rumor and sender must be a label below n,
+    and height2 and parity labels; sender, height2 and parity may be
+    null.  Anything else is a ValueError."""
+    kind = _KINDS.get(frozenset(obj)) if type(obj) is dict else None
+    if kind is None or obj["kind"] != kind:
+        raise ValueError(f"{obj!r} is no message")
     if kind == "unbounded":
         rumors = obj["rumors"]
-        if type(rumors) is not list:
-            raise ValueError(f"rumors {rumors!r} is not a list")
+        if type(rumors) is not list or obj["aux"] != []:
+            raise ValueError(f"{obj!r} is no unbounded message")
         mask = 0
         for r in rumors:
-            mask |= 1 << _label(r)
-        return Unbounded(mask, aux=tuple((k, v) for k, v in obj["aux"]))
+            mask |= 1 << _label(r, n)
+        return Unbounded(mask)
     if kind == "bounded":
         return Bounded(
-            rumor=_label(obj["rumor"]),
-            sender=_label(obj["sender"], True),
-            height2=_label(obj["height2"], True),
-            parity=_label(obj["parity"], True),
+            rumor=_label(obj["rumor"], n),
+            sender=_label(obj["sender"], n, True),
+            height2=_label(obj["height2"], optional=True),
+            parity=_label(obj["parity"], optional=True),
         )
-    if kind == "fnf":
-        return FireAndForward(rumor=_label(obj["rumor"]))
-    raise ValueError(f"unknown message kind {kind!r}")
+    return FireAndForward(rumor=_label(obj["rumor"], n))
 
 
 Observer = Callable[
@@ -800,7 +830,6 @@ def run(
         max_steps=max_steps,
         delivery=delivery,
         completion_step=completion,
-        incomplete=completion is None,
         collisions_total=collisions_total,
         steps_executed=t,
         steps=recorded,

@@ -176,22 +176,23 @@ class CensusLadderState(ProtocolState):
 
     Steps 0..n-1 are the census: each node transmits at the step equal
     to its label, which is collision-free and tells every node the
-    labels of its children.  From step n on, round s occupies steps
-    n + beats*s .. n + beats*s + beats - 1.  A node becomes active in
-    the first round after it has heard a ladder message from every
-    child (a leaf right at the census end); until then it is dormant,
-    and only a reception wakes it.
+    labels of its children.  From step n on, beat b of round s is step
+    round_step(n, s, b), and the ladder's round budget, rounds(n), ends
+    at step horizon(n, mode).  A node becomes active in the first round
+    after it has heard a ladder message from every child (a leaf right
+    at the census end); until then it is dormant, and only a reception
+    wakes it.
 
     Subclasses say what a reception adds (_receive), which missing
     child a ladder message comes from (_missing_sender), what they
     transmit (_message), and their duty beats (_duties).  The beats are
-    data, built once at activation: _duties(relay) returns a standing
-    beat, the round its window ends, a few extra steps, and the step to
-    sleep until after all of them; relay is the one round of the
-    active window that the node's label owns.  An active node sleeps
-    from one duty step to the next, so it is not woken at steps where
-    it stays silent; absorbing a reception never moves them, since
-    alpha is fixed once set.
+    data, built once at activation: _duties(relay, end) returns a
+    standing beat, the round its window ends, extra (round, beat)
+    pairs, and the step to sleep until after all of them.  relay is the
+    one round of the relay window alpha .. end - 1 that the node's label
+    owns.  An active node sleeps from one duty step to the next, so it
+    is not woken at steps where it stays silent; absorbing a reception
+    never moves them, since alpha is fixed once set.
 
     At its first standing-beat transmission the node offers the rest
     of that beat (ProtocolState.standing); its message is fixed by
@@ -200,6 +201,19 @@ class CensusLadderState(ProtocolState):
     """
 
     beats: int
+
+    @staticmethod
+    def rounds(n: int) -> int:
+        """The ladder's round budget."""
+        return 2 * n * ceil_log2(n) + n
+
+    @classmethod
+    def round_step(cls, n: int, s: int, beat: int = 0) -> int:
+        return n + cls.beats * s + beat
+
+    @classmethod
+    def horizon(cls, n: int, mode: DuplexMode) -> int:
+        return cls.round_step(n, cls.rounds(n))
 
     def __init__(self, label: int, n: int):
         self.label = label
@@ -237,12 +251,13 @@ class CensusLadderState(ProtocolState):
 
     def _activate(self, alpha: int) -> None:
         self.alpha = alpha
-        relay = alpha + (self.label - alpha) % self.n
-        beat, end, extras, self._after = self._duties(relay)
-        self._first = self.n + self.beats * alpha + beat
-        self._stop = self._first + self.beats * max(end - alpha, 0)
+        n = self.n
+        relay = alpha + (self.label - alpha) % n
+        beat, end, extras, self._after = self._duties(relay, alpha + n)
+        self._first = self.round_step(n, alpha, beat)
+        self._stop = self.round_step(n, max(end, alpha), beat)
         # extras still ahead, latest first; _x is the earliest of them
-        self._extras = sorted(extras, reverse=True)
+        self._extras = sorted((self.round_step(n, s, b) for s, b in extras), reverse=True)
         self._x = -1
 
     def _next_duty(self, u: int) -> int:
@@ -318,11 +333,10 @@ class LadderFloodState(UnboundedRumors, CensusLadderState):
                 return c
         return None
 
-    def _duties(self, relay: int):
+    def _duties(self, relay: int, end: int):
         """Beat 1 of every round in the window, beat 0 of the relay
         round."""
-        n = self.n
-        return 1, self.alpha + n, (n + 2 * relay,), SLEEP_FOREVER
+        return 1, end, ((relay, 0),), SLEEP_FOREVER
 
 
 class SelectorLadderFloodState(LadderFloodState):
@@ -335,7 +349,8 @@ class SelectorLadderFloodState(LadderFloodState):
     selector windows last min(m, n) rounds from activation; the relay
     window lasts n rounds as before.
 
-    Horizon: a run completes by step n + 3(2n ceil(log2 n) + n) under
+    Horizon: a run completes by horizon(n, mode), the end of the
+    three-beat ladder's round budget, n + 3(2n ceil(log2 n) + n), under
     any family with m >= 1 sets, in either duplex mode.  The proof uses
     only the relay and push beats.  Write a_v for v's activation round
     and h(v) for its 2-height (trees.gamma_heights with gamma 2).
@@ -373,19 +388,19 @@ class SelectorLadderFloodState(LadderFloodState):
         self.sets = sets
         self.m = len(sets)
 
-    def _duties(self, relay: int):
+    def _duties(self, relay: int, end: int):
         """Inside the push window (the first min(m, n) active rounds)
         every push beat and the selector beats of rounds whose set lists
-        the label; anywhere in the window, the relay beat.  Each set
-        index i falls on the one round alpha + (i - alpha) mod m of the
-        first m active rounds."""
-        n, m, a = self.n, self.m, self.alpha
-        push_end = a + min(m, n)
-        extras = [n + 3 * relay]
+        the label; anywhere in the relay window, the relay beat.  Each
+        set index i falls on the one round alpha + (i - alpha) mod m of
+        the first m active rounds."""
+        m, a = self.m, self.alpha
+        push_end = min(a + m, end)
+        extras = [(relay, 0)]
         for i, members in enumerate(self.sets):
             s = a + (i - a) % m
             if s < push_end and self.label in members:
-                extras.append(n + 3 * s + 2)
+                extras.append((s, 2))
         return 1, push_end, extras, SLEEP_FOREVER
 
 
@@ -393,39 +408,63 @@ class HeightPhaseRelayState(CensusLadderState):
     """Bounded-message gathering in phases ordered by 2-height.
 
     Preprocessing is the census (own rumor at step == label) and then a
-    reporting ladder of three-beat rounds, cut off at pre_rounds, long
-    enough for every node to learn its own 2-height: a node that has
-    heard the heights of all children takes the larger of (max child
-    height) and, when two or more children attain that max, max + 1.
-    An active node reports on beat 1 of every round and on all three
-    beats of its relay round.  Ladder reports carry the sender's label
-    as the rumor, so preprocessing also advances every rumor one hop
-    toward the root.
+    reporting ladder of three-beat rounds, cut off at the round budget:
+    a node that has heard the heights of all children takes the larger
+    of (max child height) and, when two or more children attain that
+    max, max + 1.  An active node reports on beat 1 of every round and
+    on all three beats of its relay round.  Ladder reports carry the
+    sender's label as the rumor, so preprocessing also advances every
+    rumor one hop toward the root.
 
-    After preprocessing, phase h serves exactly the nodes of 2-height h.
-    Full duplex: 2n steps in which every such node streams rumors it has
-    never sent during a phase, then n round-robin slots (rumor u in slot
-    u whenever held).  Half duplex prepends a parity-token pass: nodes
-    of one height form vertex-disjoint upward paths, the path-deepest
-    node stamps parity 0 and each path node relays the token with the
-    parity flipped, after which the streaming stage alternates by
-    parity so a transmitting node is never deaf to its path child.
-    The round-robin slots stay collision-free in both modes because the
-    copies of rumor u live on a single root path and only the lowest
-    never-relayed copy can fire.
+    After preprocessing, phase h serves exactly the nodes of 2-height h
+    (phases() lays them out).  Full duplex: 2n steps in which every
+    such node streams rumors it has never sent during a phase, then n
+    round-robin slots (rumor u in slot u whenever held).  Half duplex
+    prepends a parity-token pass: nodes of one height form
+    vertex-disjoint upward paths, the path-deepest node stamps parity 0
+    and each path node relays the token with the parity flipped, after
+    which the streaming stage alternates by parity so a transmitting
+    node is never deaf to its path child.
+
+    Horizon: a run completes by horizon(n, mode), the end of
+    ceil(log2 n) + 1 phases of 3n steps (6n under half duplex) after the
+    three-beat ladder's round budget.
+    1. Beat 1 is a push beat for the whole relay window, so
+       SelectorLadderFloodState's proof with m = n puts every
+       activation, and with it every 2-height, inside the budget.
+    2. Phase h starts with every rumor at a node of 2-height h or more.
+       A phase-h node has at most one child in the phase, so streaming
+       is collision-free along each path; at most n rumors cross at
+       most n nodes, so the stream stage (2n steps, or 4n alternating
+       ones) brings them all to the path's top.
+    3. The slots are collision-free: the copies of rumor u live on a
+       single root path, and no two of its nodes are siblings.  So the
+       top's parent, of 2-height above h or the root, ends the phase
+       holding them all.
+    4. 2-height h needs 2**h nodes, so after phase ceil(log2 n) the
+       root holds every rumor.
     """
 
     beats = 3
 
+    @classmethod
+    def phases(cls, n: int, mode: DuplexMode) -> tuple[int, int, int]:
+        """The height phases: first step, length and count."""
+        return super().horizon(n, mode), (6 if mode is DuplexMode.HALF else 3) * n, ceil_log2(n) + 1
+
+    @classmethod
+    def horizon(cls, n: int, mode: DuplexMode) -> int:
+        base, length, count = cls.phases(n, mode)
+        return base + count * length
+
     def __init__(self, label: int, n: int, mode: DuplexMode):
         super().__init__(label, n)
         self.half = mode is DuplexMode.HALF
-        self.pre_rounds = 2 * n * ceil_log2(n) + n
-        self.phase_base = n + 3 * self.pre_rounds
-        self.phase_len = 6 * n if self.half else 3 * n
-        self.last_phase = ceil_log2(n)
+        self.phase_base, self.phase_len, _ = self.phases(n, mode)
         self.child_heights: dict[int, int] = {}
         self.height2: int | None = None
+        # the first step of its own phase, once its height is known
+        self.home = SLEEP_FOREVER
         self.held = 1 << label
         self.pending = collections.deque([label])
         self.parity: int | None = None
@@ -439,11 +478,9 @@ class HeightPhaseRelayState(CensusLadderState):
         if not self.held & bit:
             self.held |= bit
             self.pending.append(r)
-        if msg.parity is not None and self.height2 is not None:
-            ph, off = divmod(step - self.phase_base, self.phase_len)
-            if ph == self.height2 and msg.height2 == self.height2 and off < self.n:
-                self.parity = 1 - msg.parity
-                self._relay_token_at = step + 1
+        if msg.parity is not None and msg.height2 == self.height2 and 0 <= step - self.home < self.n:
+            self.parity = 1 - msg.parity
+            self._relay_token_at = step + 1
 
     def _missing_sender(self, msg: Bounded) -> int | None:
         # only a ladder report carries a height and no parity; its rumor
@@ -458,17 +495,17 @@ class HeightPhaseRelayState(CensusLadderState):
         hs = list(self.child_heights.values())
         top = max(hs, default=0)
         self.height2 = top + 1 if hs.count(top) >= 2 else top
+        self.home = self.phase_base + self.height2 * self.phase_len
         self._report = Bounded(rumor=self.label, sender=self.label, height2=self.height2)
         super()._activate(alpha)
 
-    def _duties(self, relay: int):
+    def _duties(self, relay: int, end: int):
         """Beat 1 of every ladder round, and beats 0 and 2 of the relay
         round if it comes before the cut-off.  Past the ladder window
         the node sleeps until its own height phase."""
-        n = self.n
-        end = min(self.alpha + n, self.pre_rounds)
-        extras = (n + 3 * relay, n + 3 * relay + 2) if relay < end else ()
-        return 1, end, extras, self.phase_base + self.height2 * self.phase_len
+        end = min(end, self.rounds(self.n))
+        extras = ((relay, 0), (relay, 2)) if relay < end else ()
+        return 1, end, extras, self.home
 
     def _message(self) -> Bounded:
         return self._report
@@ -481,70 +518,37 @@ class HeightPhaseRelayState(CensusLadderState):
         return self._phase_act(view.time)
 
     def _phase_act(self, t: int):
-        ph, off = divmod(t - self.phase_base, self.phase_len)
-        if self.height2 is None or ph > self.height2 or ph > self.last_phase:
-            self.asleep_until = SLEEP_FOREVER
+        off = t - self.home
+        if not 0 <= off < self.phase_len:
+            # before its phase, or past it (or it never learnt a height)
+            self.asleep_until = self.home if off < 0 else SLEEP_FOREVER
             return None
-        if ph < self.height2:
-            self.asleep_until = self.phase_base + self.height2 * self.phase_len
-            return None
-        if self.half:
-            return self._phase_half(t, off)
-        return self._phase_full(t, off)
-
-    def _phase_full(self, t: int, off: int):
         n = self.n
-        if off < 2 * n:
-            if self.pending:
-                self.asleep_until = t + 1
-                return Bounded(rumor=self.pending.popleft(), sender=self.label)
-            self.asleep_until = t - off + 2 * n
-            return None
-        return self._slot_act(t, off - 2 * n)
-
-    def _phase_half(self, t: int, off: int):
-        n = self.n
-        if off < n:
-            stream_start = t - off + n
+        slots = self.phase_len - n
+        if off >= slots:
+            return self._slot_act(t, off - slots)
+        if self.half and off < n:
+            self.asleep_until = t - off + n
             if off == 0 and self.height2 not in self.child_heights.values():
                 # deepest node of the path: originate the token
                 self.parity = 0
-                self.asleep_until = stream_start
-                return Bounded(
-                    rumor=self.label,
-                    sender=self.label,
-                    height2=self.height2,
-                    parity=0,
-                )
-            if self._relay_token_at == t:
-                self.asleep_until = stream_start
-                return Bounded(
-                    rumor=self.label,
-                    sender=self.label,
-                    height2=self.height2,
-                    parity=self.parity,
-                )
-            self.asleep_until = stream_start
-            return None
-        if off < 5 * n:
-            # the token lands before streaming starts: paths have at most
-            # n nodes, so the last relay step is inside the token stage
-            assert self.parity is not None
-            if self.pending:
-                self.asleep_until = t + 1
-                if (off - n) % 2 == self.parity:
-                    return Bounded(rumor=self.pending.popleft(), sender=self.label)
+            elif self._relay_token_at != t:
                 return None
-            self.asleep_until = t - off + 5 * n
+            return Bounded(rumor=self.label, sender=self.label, height2=self.height2, parity=self.parity)
+        # the token lands before streaming starts: paths have at most n
+        # nodes, so the last relay step is inside the token stage
+        assert not self.half or self.parity is not None
+        if self.pending:
+            self.asleep_until = t + 1
+            if not self.half or (off - n) % 2 == self.parity:
+                return Bounded(rumor=self.pending.popleft(), sender=self.label)
             return None
-        return self._slot_act(t, off - 5 * n)
+        self.asleep_until = t - off + slots
+        return None
 
     def _slot_act(self, t: int, u: int):
         rest = self.held >> (u + 1)
-        if rest:
-            self.asleep_until = t + (rest & -rest).bit_length()
-        else:
-            self.asleep_until = SLEEP_FOREVER
+        self.asleep_until = t + (rest & -rest).bit_length() if rest else SLEEP_FOREVER
         if self.held >> u & 1:
             return Bounded(rumor=u, sender=self.label)
         return None
@@ -649,11 +653,6 @@ class RandomFireForwardState(ProtocolState):
         return arrived
 
 
-def _ladder_horizon(n: int, beats: int) -> int:
-    # census + beats * (activation bound + active window)
-    return n + beats * (2 * n * ceil_log2(n) + n)
-
-
 def default_family(n: int, k: int) -> SelectiveFamily:
     """unb2's family when none is injected: the Kautz-Singleton family,
     or n singletons where that family would have n sets or more (the
@@ -678,10 +677,10 @@ def make_protocol(
 
     The returned Protocol carries a horizon: a step count by which a
     run on any n-node tree completes (None for rtree, whose completion
-    time is random).  unb2 gets the three-beat ladder horizon under its
-    default family and under any injected family with at least one set;
-    SelectorLadderFloodState gives the proof.  Its default family is
-    default_family(n, k) for k = ceil(n^(1/3)).
+    time is random).  unb1, unb2 and bnd take theirs from their state
+    class's horizon(n, mode), beside its proof; unb2's holds under its
+    default family and under any injected family with at least one set.
+    Its default family is default_family(n, k) for k = ceil(n^(1/3)).
 
     Only bnd and mls pin the duplex mode, because their constructions
     (phase layout, disperser) depend on it; the others run under either
@@ -714,7 +713,7 @@ def make_protocol(
             state_factory=lambda label, n_, mode_, rng: LadderFloodState(label, n_),
             n=n,
             mode=None,
-            horizon=_ladder_horizon(n, 2),
+            horizon=LadderFloodState.horizon(n, mode),
         )
     if name == "unb2":
         k = kappa if kappa is not None else ceil_cbrt(n)
@@ -736,12 +735,10 @@ def make_protocol(
             ),
             n=n,
             mode=None,
-            horizon=_ladder_horizon(n, 3),
+            horizon=SelectorLadderFloodState.horizon(n, mode),
             family=fam,
         )
     if name == "bnd":
-        phase_len = 6 * n if mode is DuplexMode.HALF else 3 * n
-        horizon = n + 3 * (2 * n * ceil_log2(n) + n) + (ceil_log2(n) + 1) * phase_len
         return Protocol(
             name="bnd",
             message_kind=Bounded,
@@ -750,7 +747,7 @@ def make_protocol(
             ),
             n=n,
             mode=mode,
-            horizon=horizon,
+            horizon=HeightPhaseRelayState.horizon(n, mode),
         )
     if name == "mls":
         d = disperser if disperser is not None else build_disperser(n, mode)

@@ -452,7 +452,7 @@ def test_trace_without_records_roundtrip():
 
 def test_message_json_roundtrip():
     msgs = [
-        Unbounded(0b10100010, aux=(("hops", 3),)),
+        Unbounded(0b10100010),
         Unbounded(0),
         Bounded(rumor=4, sender=2, height2=1, parity=0),
         Bounded(rumor=0),
@@ -507,9 +507,9 @@ def test_step_writer_matches_generic_encoding_on_hand_built_records():
         StepRecord(4, (1, 2), {0: Bounded(rumor=6, sender=2, height2=0, parity=0),
                                1: Bounded(rumor=0, sender=5, height2=3, parity=1)}, ()),
         StepRecord(5, (3, 12, 13), {10: shared, 2: shared}, (9, 40)),
-        StepRecord(6, (8,), {10: Unbounded(0, aux=(("hops", 3), ("x", 0)))}, ()),
+        StepRecord(6, (8,), {10: Unbounded(0)}, ()),
         StepRecord(7, (8, 9), {2: Unbounded(1 << 5 | 1 << 1 | 1 << 30),
-                               10: Unbounded(1 << 2, aux=(("k", -1),))}, (1,)),
+                               10: Unbounded(1 << 2)}, (1,)),
         StepRecord(123456789, (), {}, ()),
     ]
     assert_steps_match_reference(steps)
@@ -518,8 +518,10 @@ def test_step_writer_matches_generic_encoding_on_hand_built_records():
     assert _step_lines([]) == b""
 
 
-HEADER = (b'{"kind":"header","max_steps":9,"mode":"full","n":3,"protocol":"x",'
-          b'"recorded":true,"schema":"radio-gather-trace/1","seed":0}\n')
+# the hand-written traces' tree size: every node id and rumor lies below it
+HEADER_N = 16
+HEADER = (b'{"kind":"header","max_steps":9,"mode":"full","n":%d,"protocol":"x",'
+          b'"recorded":true,"schema":"radio-gather-trace/1","seed":0}\n' % HEADER_N)
 SUMMARY = (b'{"collisions_total":0,"completion_step":null,"delivery":{"0":0},'
            b'"incomplete":true,"kind":"summary","steps_executed":9}\n')
 
@@ -529,13 +531,19 @@ def load_steps(*lines, summary=SUMMARY):
 
 
 def step_from_json(line):
+    """The record json.loads reads from line, or the ValueError the reader
+    raises for a record that names a node or rumor outside the tree."""
     obj = json.loads(line)
-    return StepRecord(
+    rec = StepRecord(
         step=obj["step"],
         transmitters=tuple(obj["transmitters"]),
-        receptions={int(v): message_from_json(m) for v, m in obj["receptions"].items()},
+        receptions={int(v): message_from_json(m, HEADER_N) for v, m in obj["receptions"].items()},
         collisions=tuple(obj["collisions"]),
     )
+    for v in rec.transmitters + rec.collisions + tuple(rec.receptions):
+        if type(v) is not int or not 0 <= v < HEADER_N:
+            raise ValueError(f"node {v!r} outside the tree")
+    return rec
 
 
 SILENT = b'{"collisions":[],"kind":"step","receptions":{},"step":5,"transmitters":[]}\n'
@@ -601,9 +609,6 @@ def rx_line(receptions, step=3):
 
 
 @pytest.mark.parametrize("receptions,direct", [
-    (b'"1":{"aux":[["}",1]],"kind":"unbounded","rumors":[2]}', True),
-    (b'"1":{"aux":[[",\\"2\\":{",1]],"kind":"unbounded","rumors":[2]},"2":{"kind":"fnf","rumor":1}', True),
-    (b'"1":{"aux":[["a},\\"b",1],["}",2]],"kind":"unbounded","rumors":[]}', True),
     (b'"01":{"kind":"fnf","rumor":4}', True),
     (b'"2":{"kind":"fnf","rumor":4},"2":{"kind":"fnf","rumor":5}', True),
     (b'"1":{"kind":"fnf","rumor":4},"01":{"kind":"fnf","rumor":5}', True),
@@ -613,11 +618,10 @@ def rx_line(receptions, step=3):
     (b'"1":{"kind":"fnf","rumor":4} ,"2":{"kind":"fnf","rumor":5}', False),
     (b'"1":{"kind":"nope"},"1":{"kind":"fnf","rumor":4}', False),
     (b'"1" :{"kind":"fnf","rumor":4}', False),
-    (b'"-1":{"kind":"fnf","rumor":4}', False),
 ], ids=repr)
 def test_reader_direct_step_lines_load_as_json_reads_them(receptions, direct):
     line = rx_line(receptions)
-    assert (_parse_step_line(line.decode(), {}, {}) is not None) == direct
+    assert (_parse_step_line(line.decode(), HEADER_N, {}, {}) is not None) == direct
     assert load_steps(line) == [step_from_json(line)]
     # again at a later step, with the message texts cached
     later = rx_line(receptions, step=4)
@@ -677,6 +681,112 @@ def test_reader_rejects_message_fields_that_are_no_labels(message):
             load_steps(line)
     with pytest.raises(ValueError):
         message_from_json(json.loads(message))
+
+
+@pytest.mark.parametrize("message", [
+    b'{"kind":"fnf"}',
+    b'{"kind":"bounded","rumor":1}',
+    b'{"aux":5,"kind":"unbounded","rumors":[1]}',
+    b'{"kind":"unbounded","rumors":[1]}',
+    b'{"aux":[["}",1]],"kind":"unbounded","rumors":[2]}',
+    b'{"aux":[[",\\"2\\":{",1]],"kind":"unbounded","rumors":[2]}',
+    b'{"aux":[["a},\\"b",1],["}",2]],"kind":"unbounded","rumors":[]}',
+    b'{"hops":1,"kind":"fnf","rumor":4}',
+    b'{"aux":[],"kind":"fnf","rumors":[4]}',
+    b'{"kind":["fnf"],"rumor":4}',
+    b'{"kind":"nope"}',
+    b"5",
+    b"[4]",
+    b"null",
+], ids=repr)
+def test_reader_rejects_malformed_messages(message):
+    # a message has its kind's fields and no others, and aux is empty;
+    # anything else is a ValueError on either path, never a KeyError
+    direct = rx_line(b'"1":%s' % message)
+    generic = direct.replace(b'{"collisions":', b'{"collisions": ')
+    for line in (direct, generic):
+        with pytest.raises(ValueError):
+            load_steps(line)
+    with pytest.raises(ValueError):
+        message_from_json(json.loads(message))
+
+
+@pytest.mark.parametrize("line", [
+    ACTIVE.replace(b"[2,3,4]", b"[2,3,16]"),
+    ACTIVE.replace(b"[2,3,4]", b"[-1,3,4]"),
+    ACTIVE.replace(b'"collisions":[0]', b'"collisions":[16]'),
+    ACTIVE.replace(b'"collisions":[0]', b'"collisions":[0,-1]'),
+    ACTIVE.replace(b'"1":{', b'"16":{'),
+    ACTIVE.replace(b'"1":{', b'"-1":{'),
+    ACTIVE.replace(b'"rumor":2', b'"rumor":16'),
+    rx_line(b'"1":%s' % BOUNDED.replace(b'"rumor":4', b'"rumor":16')),
+    rx_line(b'"1":%s' % BOUNDED.replace(b'"sender":2', b'"sender":16')),
+    rx_line(b'"1":%s' % UNBOUNDED.replace(b"[1,2]", b"[1,16]")),
+], ids=repr)
+def test_reader_rejects_ids_outside_the_tree(line):
+    # node ids, rumors and senders of an n-node tree lie below n
+    generic = line.replace(b'{"collisions":', b'{"collisions": ')
+    # earlier steps whose texts below n are then cached
+    cached = (ACTIVE.replace(b'"step":5', b'"step":0'), rx_line(b'"1":%s' % UNBOUNDED, step=1))
+    assert len(load_steps(*cached)) == 2
+    for text in (line, generic):
+        with pytest.raises(ValueError, match="not a label below 16|outside 0..15"):
+            load_steps(text)
+        with pytest.raises(ValueError, match="not a label below 16|outside 0..15"):
+            load_steps(*cached, text)
+    with pytest.raises(ValueError):
+        step_from_json(line)
+
+
+def test_reader_checks_ids_against_the_header():
+    line = rx_line(b'"1":{"kind":"fnf","rumor":99}').replace(b"[1,2]", b"[7]")
+    header = HEADER.replace(b'"n":%d' % HEADER_N, b'"n":%d')
+    with pytest.raises(ValueError):
+        Trace.from_jsonl_lines(io.BytesIO(header % 3 + line + SUMMARY))
+    assert Trace.from_jsonl_lines(io.BytesIO(header % 100 + line + SUMMARY)).steps == [
+        StepRecord(3, (7,), {1: FireAndForward(99)}, ())
+    ]
+    # the largest ids of a tree load
+    top = ACTIVE.replace(b"[2,3,4]", b"[15]").replace(b'"rumor":2', b'"rumor":15')
+    assert load_steps(top) == [StepRecord(5, (15,), {1: FireAndForward(15)}, (0,))]
+
+
+@pytest.mark.parametrize("lines", [
+    [ACTIVE, HEADER],
+    [SILENT, HEADER],
+    [ACTIVE.replace(b'{"collisions":', b'{"collisions": '), HEADER],
+    [HEADER, HEADER],
+    [HEADER, ACTIVE, HEADER],
+    [HEADER.replace(b'"n":%d' % HEADER_N, b'"n":0')],
+    [HEADER.replace(b'"n":%d' % HEADER_N, b'"n":"16"')],
+    [HEADER.replace(b'"n":%d' % HEADER_N, b'"n":true')],
+    [HEADER.replace(b'"n":%d' % HEADER_N, b'"n":%d' % (LABEL_LIMIT + 1))],
+], ids=repr)
+def test_reader_requires_one_header_first(lines):
+    # the writer's order: one header that gives a tree size, then steps
+    with pytest.raises(ValueError):
+        Trace.from_jsonl_lines(io.BytesIO(b"".join(lines) + SUMMARY))
+
+
+@pytest.mark.parametrize("completion,incomplete,ok", [
+    (b"null", b"true", True),
+    (b"5", b"false", True),
+    (b"null", b"false", False),
+    (b"5", b"true", False),
+    (b"null", b"1", False),
+    (b"5", b"0", False),
+])
+def test_reader_derives_incomplete_from_completion_step(completion, incomplete, ok):
+    summary = SUMMARY.replace(b'"completion_step":null', b'"completion_step":%s' % completion)
+    summary = summary.replace(b'"incomplete":true', b'"incomplete":%s' % incomplete)
+    stream = io.BytesIO(HEADER + ACTIVE + summary)
+    if ok:
+        trace = Trace.from_jsonl_lines(stream)
+        assert trace.incomplete is (completion == b"null")
+        assert trace.to_jsonl_bytes().endswith(summary)
+    else:
+        with pytest.raises(ValueError, match="contradicts"):
+            Trace.from_jsonl_lines(stream)
 
 
 @pytest.mark.parametrize("end", [b"\n", b""], ids=["newline", "eof"])
@@ -752,14 +862,14 @@ def test_reader_mutated_step_lines_load_as_json_reads_them():
 
 def test_reader_loads_equal_message_texts_as_one_object():
     fnf = b'{"kind":"fnf","rumor":4}'
-    rumors = b'{"aux":[["}",1]],"kind":"unbounded","rumors":[1,2]}'
+    rumors = b'{"aux":[],"kind":"unbounded","rumors":[1,2]}'
     steps = load_steps(
         rx_line(b'"1":%s,"2":%s' % (fnf, rumors)),
         rx_line(b'"7":%s,"9":%s' % (rumors, fnf), step=4),
     )
     a, b = steps[0].receptions, steps[1].receptions
     assert a[1] is b[9] and a[2] is b[7]
-    assert a[1] == FireAndForward(4) and a[2] == Unbounded(0b110, aux=(("}", 1),))
+    assert a[1] == FireAndForward(4) and a[2] == Unbounded(0b110)
 
 
 def ordered_trace(schema, active, steps_executed=4):

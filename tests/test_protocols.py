@@ -78,6 +78,26 @@ def test_unknown_protocol_rejected():
         make_protocol("rr-unb", 0)
 
 
+HORIZON_SIZES = (1, 2, 3, 16, 1024)
+# make_protocol(name, n, mode).horizon as (full, half) for each size;
+# rtree has none
+HORIZONS = {
+    "rr-unb": ((1, 1), (4, 4), (9, 9), (256, 256), (1_048_576, 1_048_576)),
+    "rr-bnd": ((1, 1), (4, 4), (9, 9), (256, 256), (1_048_576, 1_048_576)),
+    "unb1": ((3, 3), (14, 14), (33, 33), (304, 304), (44_032, 44_032)),
+    "unb2": ((4, 4), (20, 20), (48, 48), (448, 448), (65_536, 65_536)),
+    "bnd": ((7, 10), (32, 44), (75, 102), (688, 928), (99_328, 133_120)),
+    "mls": ((22, 56), (46, 114), (72, 174), (568, 1_136), (216_543, 433_086)),
+}
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_horizons_pinned(name):
+    for n, want in zip(HORIZON_SIZES, HORIZONS.get(name, [(None, None)] * 5)):
+        got = tuple(make_protocol(name, n, mode).horizon for mode in (FULL, HALF))
+        assert got == want, (name, n)
+
+
 def test_round_robin_flood_gathers_everywhere():
     for desc, tree in sweep():
         proto = make_protocol("rr-unb", tree.n)
