@@ -307,10 +307,10 @@ class Trace:
         The records kept must describe a run of the header's n-node
         tree: the header comes first, every node id, rumor and sender
         lies below n, and the steps are integers that rise from 0 and
-        stay below the summary's steps_executed.  Anything else raises
-        ValueError, as does a steps_executed that is no integer or a
-        summary whose incomplete contradicts its completion_step.  Ids
-        are checked once per distinct message and id list text."""
+        stay below the summary's steps_executed.  Ids are checked once
+        per distinct message and id list text.  The summary must
+        describe the same run (_check_summary).  Anything else raises
+        ValueError."""
         header = None
         summary = None
         steps: list[StepRecord] = []
@@ -359,27 +359,85 @@ class Trace:
                 steps.append(rec)
         if header is None or summary is None:
             raise ValueError("trace stream is missing its header or summary record")
-        executed = summary["steps_executed"]
-        if type(executed) is not int:
-            raise ValueError(f"steps_executed {executed!r} is no step count")
-        if last >= executed:
-            raise ValueError(f"step record {last} lies past steps_executed {executed}")
-        completion = summary["completion_step"]
-        if summary["incomplete"] is not (completion is None):
-            raise ValueError(f"incomplete {summary['incomplete']!r} contradicts "
-                             f"completion_step {completion!r}")
+        delivery = _check_summary(header, summary, steps)
         return cls(
             protocol=header["protocol"],
-            n=header["n"],
+            n=n,
             mode=DuplexMode(header["mode"]),
             seed=header["seed"],
             max_steps=header["max_steps"],
-            delivery={int(r): t for r, t in summary["delivery"].items()},
-            completion_step=completion,
+            delivery=delivery,
+            completion_step=summary["completion_step"],
             collisions_total=summary["collisions_total"],
             steps_executed=summary["steps_executed"],
             steps=steps if header["recorded"] else None,
         )
+
+
+_HEADER_FIELDS = ("protocol", "mode", "seed", "max_steps", "recorded")
+_SUMMARY_FIELDS = ("delivery", "completion_step", "incomplete", "collisions_total",
+                   "steps_executed")
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _check_summary(header: dict, summary: dict, steps: list[StepRecord]) -> dict[int, int]:
+    """The summary's delivery map with int keys, once the header and
+    summary are found to describe the run that steps record.
+
+    Both records hold every field the writer writes.  steps_executed is
+    a count no larger than max_steps, and above the last record's step.
+    Each delivered rumor is a label below n, written as str() writes it,
+    and arrived at a step below steps_executed, or at step 0 when no
+    step ran (n = 1).  completion_step is the last delivery once all n
+    rumors arrived, and null before; incomplete says which.
+    collisions_total is a count, and in a recorded trace it is the
+    records' collisions.  Costs O(n) plus one pass over steps."""
+    for record, fields in ((header, _HEADER_FIELDS), (summary, _SUMMARY_FIELDS)):
+        missing = [f for f in fields if f not in record]
+        if missing:
+            raise ValueError(f"{record.get('kind')} record lacks {', '.join(missing)}")
+    n, max_steps = header["n"], header["max_steps"]
+    executed = summary["steps_executed"]
+    if not _is_count(max_steps):
+        raise ValueError(f"max_steps {max_steps!r} is no step count")
+    if not _is_count(executed):
+        raise ValueError(f"steps_executed {executed!r} is no step count")
+    if executed > max_steps:
+        raise ValueError(f"steps_executed {executed} exceeds max_steps {max_steps}")
+    if steps and steps[-1].step >= executed:
+        raise ValueError(f"step record {steps[-1].step} lies past steps_executed {executed}")
+    raw = summary["delivery"]
+    if not isinstance(raw, dict):
+        raise ValueError(f"delivery {raw!r} is no map of rumors to steps")
+    delivery = {}
+    end = max(1, executed)
+    for r, t in raw.items():
+        rumor = int(r) if r.isascii() and r.isdigit() else n
+        if rumor >= n or str(rumor) != r:
+            raise ValueError(f"delivered rumor {r!r} is no label below {n}")
+        if type(t) is not int or not 0 <= t < end:
+            raise ValueError(f"rumor {r} delivered at {t!r}, outside steps 0..{end - 1}")
+        delivery[rumor] = t
+    completion = summary["completion_step"]
+    want = max(delivery.values()) if len(delivery) == n else None
+    if type(completion) is not type(want) or completion != want:
+        raise ValueError(f"completion_step {completion!r} contradicts the delivery of "
+                         f"{len(delivery)} of {n} rumors, the last at {want!r}")
+    if summary["incomplete"] is not (completion is None):
+        raise ValueError(f"incomplete {summary['incomplete']!r} contradicts "
+                         f"completion_step {completion!r}")
+    total = summary["collisions_total"]
+    if not _is_count(total):
+        raise ValueError(f"collisions_total {total!r} is no count")
+    if header["recorded"]:
+        recorded = sum(len(rec.collisions) for rec in steps)
+        if total != recorded:
+            raise ValueError(f"collisions_total {total} differs from the "
+                             f"{recorded} collisions recorded")
+    return delivery
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

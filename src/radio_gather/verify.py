@@ -431,15 +431,40 @@ class IntervalScheme:
         return max(1, intervals), length
 
 
+# Values drawn per block by the interval samplers: a block's keys, slot
+# counts and their temporaries stay within a few MB, while numpy's
+# per-call cost stays small.
+STAR_BLOCK = 2 ** 16
+
+# Rows of one iid trial drawn at a time: small enough that a trial
+# stops soon after its last player first fires alone, large enough that
+# numpy's per-call cost stays small.
+IID_BLOCK = 256
+
+
+def _check_count(name: str, count: int) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def interval_all_success(
     scheme: IntervalScheme, n: int, trials: int, seed: int = 0
 ) -> float:
     """Fraction of trials in which every player owns some slot alone in
-    at least one interval."""
+    at least one interval.
+
+    Trials are drawn in blocks of about STAR_BLOCK slot picks, in
+    (trial, interval, player) order.  For a range below 2^32,
+    Generator.integers builds each value from the bit generator's
+    32-bit outputs, and the spare half of a 64-bit word waits in the
+    bit generator, not in the call.  So the blocks read the very values
+    that one draw of every trial would, and no result depends on the
+    block size."""
+    _check_count("trials", trials)
     intervals, length = scheme.layout(n)
     rng = np.random.default_rng(seed)
     good = 0
-    chunk = max(1, 10 ** 6 // max(1, intervals * n))
+    chunk = max(1, STAR_BLOCK // (intervals * n))
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
@@ -455,11 +480,16 @@ def interval_all_success(
 
 def interval_success_samples(n: int, samples: int, seed: int = 0) -> float:
     """Per-interval success rate of a designated player: fraction of
-    intervals in which player 0's slot is chosen by nobody else."""
+    intervals in which player 0's slot is chosen by nobody else.
+
+    Intervals are drawn in blocks of about STAR_BLOCK slot picks; as in
+    interval_all_success, the values read do not depend on the block
+    size."""
+    _check_count("samples", samples)
     length = math.ceil(n / math.log(2))
     rng = np.random.default_rng(seed)
     good = 0
-    chunk = max(1, 10 ** 6 // n)
+    chunk = max(1, STAR_BLOCK // n)
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
@@ -469,12 +499,6 @@ def interval_success_samples(n: int, samples: int, seed: int = 0) -> float:
         good += int(b - clash.sum())
         done += b
     return good / samples
-
-
-# Rows of one iid trial drawn at a time: small enough that a trial
-# stops soon after its last player first fires alone, large enough that
-# numpy's per-call cost stays small.
-IID_BLOCK = 256
 
 
 def iid_all_success(
@@ -490,6 +514,7 @@ def iid_all_success(
     takes exactly one 64-bit output per double, so the next trial reads
     the very stream that drawing the whole horizon would leave it, and
     every result equals the full draw's."""
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     good = 0
     for _ in range(trials):

@@ -518,15 +518,34 @@ def test_step_writer_matches_generic_encoding_on_hand_built_records():
     assert _step_lines([]) == b""
 
 
-# the hand-written traces' tree size: every node id and rumor lies below it
+# the hand-written traces' tree size: every node id and rumor lies below
+# it; their max_steps leaves room for every step number used below
 HEADER_N = 16
-HEADER = (b'{"kind":"header","max_steps":9,"mode":"full","n":%d,"protocol":"x",'
-          b'"recorded":true,"schema":"radio-gather-trace/1","seed":0}\n' % HEADER_N)
+FAR_STEPS = 10 ** 6
+HEADER = (b'{"kind":"header","max_steps":%d,"mode":"full","n":%d,"protocol":"x",'
+          b'"recorded":true,"schema":"radio-gather-trace/1","seed":0}\n' % (FAR_STEPS, HEADER_N))
 SUMMARY = (b'{"collisions_total":0,"completion_step":null,"delivery":{"0":0},'
            b'"incomplete":true,"kind":"summary","steps_executed":9}\n')
 
 
+def recorded_summary(lines, summary=SUMMARY):
+    """summary with the collisions_total of a recorded run: the
+    collisions of every line json reads as a step.  A line json cannot
+    read fails the load before the summary is checked."""
+    total = 0
+    for line in lines:
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(obj, dict) and obj.get("kind") == "step" and isinstance(
+                obj.get("collisions"), list):
+            total += len(obj["collisions"])
+    return summary.replace(b'"collisions_total":0', b'"collisions_total":%d' % total)
+
+
 def load_steps(*lines, summary=SUMMARY):
+    summary = recorded_summary(lines, summary)
     return Trace.from_jsonl_lines(io.BytesIO(HEADER + b"".join(lines) + summary)).steps
 
 
@@ -599,7 +618,8 @@ def test_reader_silent_line_without_newline():
     # the last line may lack its newline, whether its step is silent or not
     for line, want in ((SILENT, []), (ACTIVE, [step_from_json(ACTIVE)])):
         last = line.rstrip(b"\n")
-        assert Trace.from_jsonl_lines(io.BytesIO(HEADER + SUMMARY + last)).steps == want
+        summary = recorded_summary([line])
+        assert Trace.from_jsonl_lines(io.BytesIO(HEADER + summary + last)).steps == want
         assert load_steps(line) == want
 
 
@@ -768,6 +788,12 @@ def test_reader_requires_one_header_first(lines):
         Trace.from_jsonl_lines(io.BytesIO(b"".join(lines) + SUMMARY))
 
 
+# every rumor delivered, the last (rumor 1) at step 5; keys in the
+# writer's string order
+ALL_DELIVERED = b'"delivery":{%s}' % b",".join(
+    b'"%d":%d' % (r, 5 if r == 1 else r % 5) for r in sorted(range(HEADER_N), key=str))
+
+
 @pytest.mark.parametrize("completion,incomplete,ok", [
     (b"null", b"true", True),
     (b"5", b"false", True),
@@ -777,8 +803,11 @@ def test_reader_requires_one_header_first(lines):
     (b"5", b"0", False),
 ])
 def test_reader_derives_incomplete_from_completion_step(completion, incomplete, ok):
-    summary = SUMMARY.replace(b'"completion_step":null', b'"completion_step":%s' % completion)
+    summary = recorded_summary([ACTIVE])
+    summary = summary.replace(b'"completion_step":null', b'"completion_step":%s' % completion)
     summary = summary.replace(b'"incomplete":true', b'"incomplete":%s' % incomplete)
+    if completion != b"null":
+        summary = summary.replace(b'"delivery":{"0":0}', ALL_DELIVERED)
     stream = io.BytesIO(HEADER + ACTIVE + summary)
     if ok:
         trace = Trace.from_jsonl_lines(stream)
@@ -820,7 +849,6 @@ def loaded_as_json_reads(line):
 
 
 # a run long enough for every step number of the lines mutated below
-FAR_STEPS = 10 ** 6
 FAR_SUMMARY = SUMMARY.replace(b'"steps_executed":9', b'"steps_executed":%d' % FAR_STEPS)
 
 
@@ -882,7 +910,7 @@ def ordered_trace(schema, active, steps_executed=4):
               for t in range(steps_executed)] if schema == 1 else []
     lines = [ACTIVE.replace(b'"step":5', b'"step":%d' % t) for t in active]
     summary = SUMMARY.replace(b'"steps_executed":9', b'"steps_executed":%d' % steps_executed)
-    return io.BytesIO(header + b"".join(silent + lines) + summary)
+    return io.BytesIO(header + b"".join(silent + lines) + recorded_summary(lines, summary))
 
 
 @pytest.mark.parametrize("schema", [1, 2])
@@ -918,6 +946,134 @@ def test_reader_keeps_rising_steps_below_steps_executed(schema):
     trace = Trace.from_jsonl_lines(ordered_trace(schema, [0, 1, 3]))
     assert [rec.step for rec in trace.steps] == [0, 1, 3]
     assert trace.steps_executed == 4
+
+
+# ---------------------------------------------------------------------------
+# the summary must describe the run the header and records describe
+
+
+def load_summary(summary, lines=(ACTIVE,), header=HEADER):
+    return Trace.from_jsonl_lines(io.BytesIO(header + b"".join(lines) + summary))
+
+
+@pytest.mark.parametrize("field", ["delivery", "completion_step", "incomplete",
+                                   "collisions_total", "steps_executed"])
+def test_reader_rejects_a_summary_without_a_field(field):
+    obj = json.loads(recorded_summary([ACTIVE]))
+    del obj[field]
+    with pytest.raises(ValueError, match="summary record lacks " + field):
+        load_summary(json.dumps(obj).encode() + b"\n")
+
+
+@pytest.mark.parametrize("field", ["protocol", "mode", "seed", "max_steps", "recorded"])
+def test_reader_rejects_a_header_without_a_field(field):
+    obj = json.loads(HEADER)
+    del obj[field]
+    with pytest.raises(ValueError, match="header record lacks " + field):
+        load_summary(recorded_summary([ACTIVE]), header=json.dumps(obj).encode() + b"\n")
+
+
+@pytest.mark.parametrize("rumor", [b"16", b"99", b"-1", b"01", b"+1", b" 1", b"a", b""])
+def test_reader_rejects_a_delivered_rumor_that_is_no_label(rumor):
+    summary = recorded_summary([ACTIVE]).replace(b'"delivery":{"0":0}',
+                                                 b'"delivery":{"0":0,"%s":3}' % rumor)
+    with pytest.raises(ValueError, match="is no label below 16"):
+        load_summary(summary)
+
+
+@pytest.mark.parametrize("step", [b"9", b"10", b"-1", b"3.0", b'"3"', b"true", b"null"])
+def test_reader_rejects_a_delivery_step_outside_the_run(step):
+    # steps_executed 9: steps 0..8 ran
+    summary = recorded_summary([ACTIVE]).replace(b'"delivery":{"0":0}',
+                                                 b'"delivery":{"0":0,"3":%s}' % step)
+    with pytest.raises(ValueError, match=r"outside steps 0\.\.8"):
+        load_summary(summary)
+
+
+def test_reader_takes_deliveries_at_the_last_step_run():
+    summary = recorded_summary([ACTIVE]).replace(b'"delivery":{"0":0}',
+                                                 b'"delivery":{"0":0,"3":8}')
+    assert load_summary(summary).delivery == {0: 0, 3: 8}
+
+
+@pytest.mark.parametrize("completion, delivery", [
+    (b"4", ALL_DELIVERED),  # the last delivery is at 5
+    (b"6", ALL_DELIVERED),
+    (b"null", ALL_DELIVERED),
+    (b"5.0", ALL_DELIVERED),
+    (b"5", b'"delivery":{"0":0,"1":5}'),  # only two of 16 arrived
+    (b"0", b'"delivery":{"0":0}'),
+], ids=["4 of all", "6 of all", "null of all", "5.0 of all", "5 of two", "0 of one"])
+def test_reader_rejects_a_completion_step_the_delivery_contradicts(completion, delivery):
+    incomplete = b"true" if completion == b"null" else b"false"
+    summary = (recorded_summary([ACTIVE])
+               .replace(b'"delivery":{"0":0}', delivery)
+               .replace(b'"completion_step":null', b'"completion_step":%s' % completion)
+               .replace(b'"incomplete":true', b'"incomplete":%s' % incomplete))
+    with pytest.raises(ValueError, match="contradicts the delivery"):
+        load_summary(summary)
+
+
+@pytest.mark.parametrize("total", [b"-5", b"-1", b"1.0", b'"1"', b"true", b"null"])
+def test_reader_rejects_a_collisions_total_that_is_no_count(total):
+    summary = SUMMARY.replace(b'"collisions_total":0', b'"collisions_total":%s' % total)
+    with pytest.raises(ValueError, match="is no count"):
+        load_summary(summary)
+
+
+@pytest.mark.parametrize("total", [0, 1, 3])
+def test_reader_rejects_a_collisions_total_the_records_contradict(total):
+    # ACTIVE records one collision at each of its two steps
+    lines = (ACTIVE, ACTIVE.replace(b'"step":5', b'"step":6'))
+    summary = SUMMARY.replace(b'"collisions_total":0', b'"collisions_total":%d' % total)
+    with pytest.raises(ValueError, match="differs from the 2 collisions recorded"):
+        load_summary(summary, lines)
+    # an unrecorded trace keeps no records to count against
+    unrecorded = HEADER.replace(b'"recorded":true', b'"recorded":false')
+    assert load_summary(summary, lines, unrecorded).collisions_total == total
+
+
+def test_reader_rejects_more_steps_than_max_steps():
+    header = HEADER.replace(b'"max_steps":%d' % FAR_STEPS, b'"max_steps":8')
+    with pytest.raises(ValueError, match="steps_executed 9 exceeds max_steps 8"):
+        load_summary(recorded_summary([ACTIVE]), header=header)
+    header = HEADER.replace(b'"max_steps":%d' % FAR_STEPS, b'"max_steps":9')
+    assert load_summary(recorded_summary([ACTIVE]), header=header).steps_executed == 9
+
+
+def test_reader_rejects_the_inconsistent_n3_summary():
+    # rumor 99 outside the tree, step 7 past steps_executed 1, completion
+    # with two of three rumors, a negative collision count, and more steps
+    # than max_steps: each alone fails the load
+    header = HEADER.replace(b'"n":%d' % HEADER_N, b'"n":3').replace(
+        b'"max_steps":%d' % FAR_STEPS, b'"max_steps":10')
+    good = (b'{"collisions_total":0,"completion_step":null,"delivery":{"0":0},'
+            b'"incomplete":true,"kind":"summary","steps_executed":1}\n')
+    assert load_summary(good, (), header).steps == []
+    for old, new in [
+        (b'{"0":0}', b'{"0":0,"99":7}'),
+        (b'{"0":0}', b'{"0":0,"1":7}'),
+        (b'"completion_step":null,"delivery":{"0":0},"incomplete":true',
+         b'"completion_step":2,"delivery":{"0":0,"1":0},"incomplete":false'),
+        (b'"collisions_total":0', b'"collisions_total":-5'),
+        (b'"steps_executed":1', b'"steps_executed":99'),
+    ]:
+        with pytest.raises(ValueError):
+            load_summary(good.replace(old, new), (), header)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_reader_loads_every_written_summary(name, record):
+    # n = 1 runs no step and delivers its rumor at step 0; the others
+    # stop early or at a cap, with or without every rumor
+    for n, steps in ((1, 5), (1, 0), (5, 3), (16, None)):
+        proto = make_protocol(name, n, FULL)
+        cap = step_cap(proto) if steps is None else steps
+        trace = run(from_family("random", n, seed=1), proto, FULL,
+                    max_steps=cap, seed=1, record_steps=record)
+        blob = trace.to_jsonl_bytes()
+        assert Trace.from_jsonl_lines(io.BytesIO(blob)).to_jsonl_bytes() == blob
 
 
 def test_trace_rejects_unknown_schema():

@@ -12,11 +12,13 @@ from radio_gather.engine import (
     Bounded,
     DuplexMode,
     FireAndForward,
+    NodeView,
     Unbounded,
     run,
 )
 from radio_gather.protocols import (
     PROTOCOL_NAMES,
+    HeightPhaseRelayState,
     ceil_cbrt,
     ceil_log2,
     make_protocol,
@@ -24,6 +26,7 @@ from radio_gather.protocols import (
 )
 from radio_gather.selectors import (
     MissingSelectiveFamily,
+    SelectiveFamily,
     build_disperser,
     build_selective_family,
     kautz_singleton_family,
@@ -278,6 +281,82 @@ def test_selector_ladder_family_size_mismatch():
     empty = dataclasses.replace(fam, m=0, sets=())
     with pytest.raises(MissingSelectiveFamily, match="no sets"):
         make_protocol("unb2", 8, family=empty)
+
+
+def stepwise_sends(state, n, horizon, arrivals=()):
+    """The steps at which state, driven alone through act() from step 0,
+    transmits.  arrivals lists (step, message) receptions in step order.
+    The state acts where its sleep promise runs out and at the step
+    after each arrival, as run() drives a state that makes no offer."""
+    view = NodeView(state.label, n)
+    pending = list(arrivals)
+    sent = []
+    due = max(0, state.asleep_until)
+    for t in range(horizon):
+        woke = False
+        while pending and pending[0][0] == t - 1:
+            view.inbox.append(pending.pop(0))
+            woke = True
+        if t < due and not woke:
+            continue
+        view.time = t
+        if state.act(view) is not None:
+            sent.append(t)
+        due = state.asleep_until
+    return sent
+
+
+def test_selector_ladder_push_window_ends_with_the_relay_window():
+    # a family of m > n sets, each listing every label: the push and
+    # selector windows last min(m, n) rounds, so they end where the
+    # relay window does, not m rounds after activation
+    n = 8
+    sets = (frozenset(range(n)),) * (2 * n + 3)
+    fam = SelectiveFamily(n=n, k=1, m=len(sets), sets=sets)
+    proto = make_protocol("unb2", n, family=fam)
+    for label in range(n):
+        child = (label + 1) % n
+        # a leaf activates in round 0; a parent that hears its child's
+        # push beat in round 4 activates in round 5
+        for alpha, arrivals in ((0, ()), (5, ((child, Unbounded(1 << child)),
+                                              (n + 3 * 4 + 1, Unbounded(1 << child))))):
+            state = proto.state_factory(label, n, FULL, None)
+            sent = stepwise_sends(state, n, proto.horizon, arrivals)
+            assert state.alpha == alpha
+            ladder = [divmod(t - n, 3) for t in sent if t >= n]
+            relay = alpha + (label - alpha) % n
+            assert [s for s, beat in ladder if beat == 0] == [relay]
+            pushed = [s for s, beat in ladder if beat in (1, 2)]
+            assert all(alpha <= s < alpha + n for s in pushed), (label, alpha, pushed)
+            # the window is full: every round of it has both beats
+            assert sorted(pushed) == sorted(list(range(alpha, alpha + n)) * 2)
+
+
+@pytest.mark.parametrize("mode", [FULL, HALF])
+def test_height_phase_ladder_duties_end_by_the_phases(mode):
+    # nodes activated within n rounds of the round budget: their relay
+    # windows run past it, and the cut keeps every standing and relay
+    # beat before the first height phase
+    n = 8
+    budget = HeightPhaseRelayState.rounds(n)
+    base = HeightPhaseRelayState.phases(n, mode)[0]
+    assert base == HeightPhaseRelayState.round_step(n, budget)
+    last, dropped = [], 0
+    for label in range(n):
+        for alpha in range(budget - n, budget + 1):
+            state = HeightPhaseRelayState(label, n, mode)
+            state.missing = set()  # every child heard
+            state._activate(alpha)
+            standing = list(range(state._first, state._stop, state.beats))
+            assert all(t < base for t in standing + state._extras), (label, alpha)
+            last.append(max(standing, default=-1))
+            dropped += not state._extras
+            relay = alpha + (label - alpha) % n
+            assert bool(state._extras) == (relay < budget), (label, alpha)
+    # the cut binds: windows end at the budget's last round, and some
+    # relay rounds past it are dropped
+    assert max(last) == HeightPhaseRelayState.round_step(n, budget - 1, 1)
+    assert dropped > 0
 
 
 def test_height_phase_gathers_everywhere():

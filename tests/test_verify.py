@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -660,3 +661,110 @@ IID_PINS = [
 @pytest.mark.parametrize("args, fraction", IID_PINS, ids=[str(a) for a, _ in IID_PINS])
 def test_iid_all_success_pinned(args, fraction):
     assert iid_all_success(*args) == fraction
+
+
+# ---------------------------------------------------------------------------
+# the blocked interval samplers against the million-value chunks they replaced
+
+
+def reference_interval_all_success(scheme, n, trials, seed=0):
+    """Trials drawn in chunks of about 10**6 slot keys."""
+    intervals, length = scheme.layout(n)
+    rng = np.random.default_rng(seed)
+    good = 0
+    chunk = max(1, 10 ** 6 // max(1, intervals * n))
+    done = 0
+    while done < trials:
+        b = min(chunk, trials - done)
+        keys = rng.integers(0, length, size=(b, intervals, n))
+        keys += (np.arange(b)[:, None, None] * intervals + np.arange(intervals)[None, :, None]) * length
+        counts = np.bincount(keys.ravel(), minlength=b * intervals * length)
+        alone = (counts == 1)[keys]
+        good += int(alone.any(axis=1).all(axis=1).sum())
+        done += b
+    return good / trials
+
+
+def reference_interval_success_samples(n, samples, seed=0):
+    """Intervals drawn in chunks of about 10**6 slot picks."""
+    length = math.ceil(n / math.log(2))
+    rng = np.random.default_rng(seed)
+    good = 0
+    chunk = max(1, 10 ** 6 // n)
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        slots = rng.integers(0, length, size=(b, n))
+        clash = (slots[:, 1:] == slots[:, :1]).any(axis=1)
+        good += int(b - clash.sum())
+        done += b
+    return good / samples
+
+
+@pytest.mark.parametrize("block", [1, 777, verify.STAR_BLOCK])
+def test_interval_samplers_do_not_depend_on_the_block(monkeypatch, block):
+    # one trial or row per block, an odd block that splits trials
+    # unevenly, and the default; each must read the stream one draw of
+    # every trial reads
+    monkeypatch.setattr(verify, "STAR_BLOCK", block)
+    fractions = []
+    for n in (1, 2, 16, 300):
+        for c in (0.5, 1.0, 3.2):
+            for seed in range(3):
+                for trials in (1, 9, 40):
+                    got = interval_all_success(IntervalScheme(c), n, trials, seed)
+                    want = reference_interval_all_success(IntervalScheme(c), n, trials, seed)
+                    assert got == want, (n, c, seed, trials)
+                    fractions.append(got)
+        for seed in range(3):
+            for samples in (1, 1000, 5001):
+                got = interval_success_samples(n, samples, seed)
+                assert got == reference_interval_success_samples(n, samples, seed), (n, seed)
+    # a stream off by one draw would show in the trials that split
+    assert sum(0 < f < 1 for f in fractions) >= 20
+
+
+# lower-bound's two interval calls (seeds 100 and 101) and criterion 11's three
+INTERVAL_PINS = [
+    ((3.2, 256, 500, 100), 0.964),
+    ((0.5, 256, 500, 101), 0.0),
+    ((3.2, 256, 2000, 3), 0.9705),
+    ((0.5, 256, 2000, 4), 0.0),
+]
+
+
+@pytest.mark.parametrize("args, fraction", INTERVAL_PINS, ids=[str(a) for a, _ in INTERVAL_PINS])
+def test_interval_all_success_pinned(args, fraction):
+    c, n, trials, seed = args
+    assert interval_all_success(IntervalScheme(c), n, trials, seed=seed) == fraction
+
+
+def test_interval_success_samples_pinned():
+    assert interval_success_samples(256, 100_000, seed=5) == 0.50144
+
+
+@pytest.mark.parametrize("call", [
+    lambda: interval_all_success(IntervalScheme(3.2), 256, 2000, seed=3),
+    lambda: interval_all_success(IntervalScheme(0.5), 256, 2000, seed=4),
+    lambda: interval_success_samples(256, 100_000, seed=5),
+], ids=["all-success c=3.2", "all-success c=0.5", "per-interval"])
+def test_interval_samplers_peak_memory(call):
+    # criterion 11's calls; million-value chunks traced 16 to 32 MB
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("call", [
+    lambda count: interval_all_success(IntervalScheme(3.2), 16, count),
+    lambda count: interval_success_samples(16, count),
+    lambda count: iid_all_success(0.1, 10, 4, count),
+], ids=["all-success", "per-interval", "iid"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_star_samplers_refuse_impossible_counts(call, count):
+    with pytest.raises(ValueError, match=f"must be at least 1, got {count}$"):
+        call(count)
