@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import io
 import json
 from enum import Enum
 from typing import Any, Callable, IO, Mapping
@@ -254,19 +255,31 @@ class Trace:
         return self.completion_step is None
 
     def to_jsonl_bytes(self) -> bytes:
-        """The trace as JSONL.  Header and summary go through the
-        generic sorted-key encoder.  Step lines are formatted directly,
-        byte for byte what that encoder makes of a dict per step with
-        the receptions' messages as message_to_json gives them."""
-        lines = [_dump_line(self._header())]
-        if self.steps:
-            lines.append(_step_lines(self.steps))
-        lines.append(_dump_line(self._summary()))
-        return b"".join(lines)
+        """The trace as JSONL, as _write_jsonl streams it.  getvalue()
+        hands back the buffer itself, so the text is held once."""
+        buf = io.BytesIO()
+        self._write_jsonl(buf)
+        return buf.getvalue()
 
     def to_jsonl(self, path: str) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.to_jsonl_bytes())
+            self._write_jsonl(fh)
+
+    def _write_jsonl(self, fh: IO[bytes]) -> None:
+        """Write the trace as JSONL to a binary file object.  Header and
+        summary go through the generic sorted-key encoder.  Step lines
+        are formatted directly, byte for byte what that encoder makes of
+        a dict per step with the receptions' messages as message_to_json
+        gives them, and written TRACE_BLOCK records at a time: besides
+        the trace, the writer holds one block's lines and the texts of
+        the messages seen so far."""
+        fh.write(_dump_line(self._header()))
+        if self.steps:
+            steps = self.steps
+            encoded: dict[int, str] = {}
+            for i in range(0, len(steps), TRACE_BLOCK):
+                fh.writelines(_encode_steps(steps[i:i + TRACE_BLOCK], encoded))
+        fh.write(_dump_line(self._summary()))
 
     def _header(self) -> dict:
         return {
@@ -326,6 +339,8 @@ class Trace:
                 if not raw.strip():
                     continue
                 obj = json.loads(raw)
+                if type(obj) is not dict:
+                    raise ValueError(f"trace line {obj!r:.40} is no JSON object")
                 kind = obj.get("kind")
                 if kind == "header":
                     if header is not None:
@@ -387,8 +402,10 @@ def _check_summary(header: dict, summary: dict, steps: list[StepRecord]) -> dict
     """The summary's delivery map with int keys, once the header and
     summary are found to describe the run that steps record.
 
-    Both records hold every field the writer writes.  steps_executed is
-    a count no larger than max_steps, and above the last record's step.
+    Both records hold every field the writer writes.  The header's
+    protocol is a str, its seed a count and recorded a bool.
+    steps_executed is a count no larger than max_steps, and above the
+    last record's step.
     Each delivered rumor is a label below n, written as str() writes it,
     and arrived at a step below steps_executed, or at step 0 when no
     step ran (n = 1).  completion_step is the last delivery once all n
@@ -399,6 +416,12 @@ def _check_summary(header: dict, summary: dict, steps: list[StepRecord]) -> dict
         missing = [f for f in fields if f not in record]
         if missing:
             raise ValueError(f"{record.get('kind')} record lacks {', '.join(missing)}")
+    if type(header["protocol"]) is not str:
+        raise ValueError(f"protocol {header['protocol']!r} is no protocol name")
+    if not _is_count(header["seed"]):
+        raise ValueError(f"seed {header['seed']!r} is no nonnegative int")
+    if type(header["recorded"]) is not bool:
+        raise ValueError(f"recorded {header['recorded']!r} is neither true nor false")
     n, max_steps = header["n"], header["max_steps"]
     executed = summary["steps_executed"]
     if not _is_count(max_steps):
@@ -452,19 +475,25 @@ def _dump_line(obj: dict) -> bytes:
 _STEP_LINE = '{"collisions":[%s],"kind":"step","receptions":{%s},"step":%d,"transmitters":[%s]}\n'
 
 
-def _step_lines(steps: list[StepRecord]) -> bytes:
-    """Every step line of a trace, formatted without the generic encoder.
+# Step records the writer formats and writes at a time: small enough
+# that a block's lines stay small beside the trace, large enough that
+# a block's fixed costs (a slice, a writelines call) do too.
+TRACE_BLOCK = 256
+
+
+def _encode_steps(steps: list[StepRecord], encoded: dict[int, str]) -> list[bytes]:
+    """The step line of each record, formatted without the generic encoder.
 
     One line per record, silent or not; run() records only steps with a
     transmitter.  Reception keys are node ids sorted as strings, as
-    sort_keys sorts them.  A message object that several receptions
-    share (a forwarded message, a cached rumor set) is encoded once per
-    call; keying that cache by id() is sound because steps keeps every
-    message alive.
+    sort_keys sorts them.  encoded maps id(message) to its text, so a
+    message object that several receptions share (a forwarded message,
+    a cached rumor set) is encoded once for as long as the caller keeps
+    the map; keying it by id() is sound while the records that hold
+    those messages stay alive.
     """
-    out: list[str] = []
+    out: list[bytes] = []
     append = out.append
-    encoded: dict[int, str] = {}
     for rec in steps:
         parts = []
         for v, m in sorted(rec.receptions.items(), key=_str_key):
@@ -472,13 +501,18 @@ def _step_lines(steps: list[StepRecord]) -> bytes:
             if text is None:
                 text = encoded[id(m)] = _message_text(m)
             parts.append('"%s":%s' % (v, text))
-        append(_STEP_LINE % (
+        append((_STEP_LINE % (
             ",".join(map(str, rec.collisions)),
             ",".join(parts),
             rec.step,
             ",".join(map(str, rec.transmitters)),
-        ))
-    return "".join(out).encode()
+        )).encode())
+    return out
+
+
+def _step_lines(steps: list[StepRecord]) -> bytes:
+    """Every step line of records, as the writer writes them."""
+    return b"".join(_encode_steps(steps, {}))
 
 
 # The reader's view of _STEP_LINE.  An integer text is taken as is only

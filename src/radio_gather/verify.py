@@ -460,6 +460,7 @@ def interval_all_success(
     bit generator, not in the call.  So the blocks read the very values
     that one draw of every trial would, and no result depends on the
     block size."""
+    _check_count("n", n)
     _check_count("trials", trials)
     intervals, length = scheme.layout(n)
     rng = np.random.default_rng(seed)
@@ -485,6 +486,7 @@ def interval_success_samples(n: int, samples: int, seed: int = 0) -> float:
     Intervals are drawn in blocks of about STAR_BLOCK slot picks; as in
     interval_all_success, the values read do not depend on the block
     size."""
+    _check_count("n", n)
     _check_count("samples", samples)
     length = math.ceil(n / math.log(2))
     rng = np.random.default_rng(seed)
@@ -514,6 +516,7 @@ def iid_all_success(
     takes exactly one 64-bit output per double, so the next trial reads
     the very stream that drawing the whole horizon would leave it, and
     every result equals the full draw's."""
+    _check_count("n", n)
     _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     good = 0

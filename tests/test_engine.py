@@ -2,10 +2,12 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from radio_gather import engine
 from radio_gather.engine import (
     Bounded,
     DuplexMode,
@@ -17,6 +19,7 @@ from radio_gather.engine import (
     ProtocolViolatedMessageBound,
     SLEEP_FOREVER,
     StepRecord,
+    TRACE_BLOCK,
     Trace,
     Unbounded,
     _dump_line,
@@ -518,6 +521,76 @@ def test_step_writer_matches_generic_encoding_on_hand_built_records():
     assert _step_lines([]) == b""
 
 
+# ---------------------------------------------------------------- streaming writer
+
+
+@pytest.mark.parametrize("name,mode", sorted(PINNED), ids=str)
+def test_trace_file_holds_the_trace_bytes(tmp_path, name, mode):
+    trace = recorded_trace("random", N, name, mode)
+    path = tmp_path / "t.jsonl"
+    trace.to_jsonl(str(path))
+    assert path.read_bytes() == trace.to_jsonl_bytes()
+
+
+def block_trace(count, recorded=True):
+    """A trace of count records on 16 nodes.  Every record receives one
+    shared message, so each block after the first finds it in the
+    writer's cache."""
+    shared = Unbounded(0b1011)
+    steps = [StepRecord(t, (1, 2, 5), {0: shared, 3: Bounded(rumor=t % 7, sender=5)}
+                        if t % 3 else {0: shared}, (4,) if t % 5 == 0 else ())
+             for t in range(count)]
+    return Trace(protocol="x", n=16, mode=FULL, seed=0, max_steps=count, delivery={0: 0},
+                 completion_step=None, collisions_total=sum(len(r.collisions) for r in steps),
+                 steps_executed=count, steps=steps if recorded else None)
+
+
+@pytest.mark.parametrize("count", [0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1,
+                                   3 * TRACE_BLOCK, 3 * TRACE_BLOCK + 5])
+@pytest.mark.parametrize("recorded", [True, False])
+def test_trace_writer_streams_whole_and_partial_blocks(tmp_path, count, recorded):
+    trace = block_trace(count, recorded)
+    want = (_dump_line(trace._header())
+            + b"".join(generic_step_line(rec) for rec in trace.steps or ())
+            + _dump_line(trace._summary()))
+    assert trace.to_jsonl_bytes() == want
+    path = tmp_path / "t.jsonl"
+    trace.to_jsonl(str(path))
+    assert path.read_bytes() == want
+    back = Trace.from_jsonl_lines(io.BytesIO(want))
+    assert back.steps == trace.steps
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_trace_bytes_do_not_depend_on_the_block(monkeypatch, block):
+    # bnd shares rumor-set objects across steps; an odd block splits
+    # the records unevenly
+    trace = recorded_trace("random", N, "bnd", "full")
+    want = trace.to_jsonl_bytes()
+    monkeypatch.setattr(engine, "TRACE_BLOCK", block)
+    assert trace.to_jsonl_bytes() == want
+
+
+@pytest.mark.parametrize("mode", ["full", "half"])
+@pytest.mark.parametrize("name", ["mls", "bnd"])
+def test_trace_writer_holds_the_text_once(name, mode):
+    # the text once, in the buffer getvalue() hands back, plus one block
+    # and the message cache; joining the whole trace's lines peaked at
+    # 3.2 to 3.6 times the text
+    duplex = DuplexMode(mode)
+    proto = make_protocol(name, 256, duplex)
+    trace = run(from_family("random", 256, 100), proto, duplex, max_steps=step_cap(proto),
+                seed=100, record_steps=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        blob = trace.to_jsonl_bytes()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(blob), (peak, len(blob))
+
+
 # the hand-written traces' tree size: every node id and rumor lies below
 # it; their max_steps leaves room for every step number used below
 HEADER_N = 16
@@ -971,6 +1044,40 @@ def test_reader_rejects_a_header_without_a_field(field):
     del obj[field]
     with pytest.raises(ValueError, match="header record lacks " + field):
         load_summary(recorded_summary([ACTIVE]), header=json.dumps(obj).encode() + b"\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("protocol", 7, "protocol 7 is no protocol name"),
+    ("protocol", None, "protocol None is no protocol name"),
+    ("seed", [1], r"seed \[1\] is no nonnegative int"),
+    ("seed", -3, "seed -3 is no nonnegative int"),
+    ("seed", True, "seed True is no nonnegative int"),
+    ("seed", 1.0, "seed 1.0 is no nonnegative int"),
+    ("recorded", "no", "recorded 'no' is neither true nor false"),
+    ("recorded", 1, "recorded 1 is neither true nor false"),
+    ("recorded", None, "recorded None is neither true nor false"),
+])
+def test_reader_rejects_a_header_field_of_the_wrong_type(field, value, message):
+    obj = json.loads(HEADER)
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_summary(recorded_summary([ACTIVE]), header=json.dumps(obj).encode() + b"\n")
+
+
+def test_reader_keeps_the_header_fields_as_written():
+    obj = json.loads(HEADER)
+    obj.update(protocol="", seed=12345678901234567890, recorded=False)
+    trace = load_summary(recorded_summary([ACTIVE]), header=json.dumps(obj).encode() + b"\n")
+    assert (trace.protocol, trace.seed, trace.steps) == ("", 12345678901234567890, None)
+
+
+@pytest.mark.parametrize("line", [b"[1]", b"5", b'"s"', b"null"])
+@pytest.mark.parametrize("where", ["first", "after the header", "last"])
+def test_reader_rejects_a_line_that_is_no_object(line, where):
+    lines = [HEADER, ACTIVE, recorded_summary([ACTIVE])]
+    lines.insert({"first": 0, "after the header": 1, "last": 3}[where], line + b"\n")
+    with pytest.raises(ValueError, match=r"^trace line .* is no JSON object$"):
+        Trace.from_jsonl_lines(io.BytesIO(b"".join(lines)))
 
 
 @pytest.mark.parametrize("rumor", [b"16", b"99", b"-1", b"01", b"+1", b" 1", b"a", b""])

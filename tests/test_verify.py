@@ -763,7 +763,11 @@ def test_interval_samplers_peak_memory(call):
     lambda count: interval_all_success(IntervalScheme(3.2), 16, count),
     lambda count: interval_success_samples(16, count),
     lambda count: iid_all_success(0.1, 10, 4, count),
-], ids=["all-success", "per-interval", "iid"])
+    # a star of no players: division by zero, log 0, or a vacuous success
+    lambda count: interval_all_success(IntervalScheme(1.0), count, 5),
+    lambda count: interval_success_samples(count, 5),
+    lambda count: iid_all_success(0.5, 10, count, 3),
+], ids=["all-success", "per-interval", "iid", "all-success n", "per-interval n", "iid n"])
 @pytest.mark.parametrize("count", [0, -1])
 def test_star_samplers_refuse_impossible_counts(call, count):
     with pytest.raises(ValueError, match=f"must be at least 1, got {count}$"):

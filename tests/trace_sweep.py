@@ -10,16 +10,21 @@ taken over the raw sha256 digest of every trace: first over the /1
 bytes that trace_v1 rebuilds from it, then over its own /2
 to_jsonl_bytes().  Then it prints the run count and the elapsed time.
 A refactor that keeps every trace byte-identical prints the same
-digests before and after.  The script exits 1 when either digest
-differs from its EXPECTED value, so a check can gate on it; a change
-that alters traces on purpose updates EXPECTED with it.  The /1 digest
-has been pinned since before schema /2, which stores no silent steps.
+digests before and after.  Each trace is also written to a temporary
+file with to_jsonl(), and the script counts the files whose bytes
+differ from to_jsonl_bytes().  It exits 1 when either digest differs
+from its EXPECTED value or some file differs, so a check can gate on
+it; a change that alters traces on purpose updates EXPECTED with it.
+The /1 digest has been pinned since before schema /2, which stores no
+silent steps.
 
 The file name has no test_ prefix, so pytest does not collect it; it
-takes about 15 s on one core.
+takes about 20 s on one core.
 """
 import hashlib
+import os
 import sys
+import tempfile
 import time
 
 from radio_gather.engine import DuplexMode, run
@@ -36,9 +41,12 @@ EXPECTED = {
 }
 
 
-def sweep_digests() -> tuple[dict[str, str], int]:
+def sweep_digests(tmp: str) -> tuple[dict[str, str], int, int]:
+    """The two digests, the run count, and the number of runs whose
+    to_jsonl() file, written under tmp, differs from to_jsonl_bytes()."""
     v1, v2 = hashlib.sha256(), hashlib.sha256()
-    runs = 0
+    runs = mismatched = 0
+    path = os.path.join(tmp, "trace.jsonl")
     for name in PROTOCOL_NAMES:
         for family in FAMILIES:
             for n in SIZES:
@@ -49,19 +57,27 @@ def sweep_digests() -> tuple[dict[str, str], int]:
                         trace = run(tree, proto, mode, max_steps=step_cap(proto),
                                     seed=seed, record_steps=True)
                         v1.update(hashlib.sha256(v1_bytes(trace)).digest())
-                        v2.update(hashlib.sha256(trace.to_jsonl_bytes()).digest())
+                        blob = trace.to_jsonl_bytes()
+                        v2.update(hashlib.sha256(blob).digest())
+                        trace.to_jsonl(path)
+                        with open(path, "rb") as fh:
+                            mismatched += fh.read() != blob
                         runs += 1
-    return dict(zip(EXPECTED, (v1.hexdigest(), v2.hexdigest()))), runs
+    return dict(zip(EXPECTED, (v1.hexdigest(), v2.hexdigest()))), runs, mismatched
 
 
 if __name__ == "__main__":
     t0 = time.perf_counter()
-    digests, runs = sweep_digests()
+    with tempfile.TemporaryDirectory() as tmp:
+        digests, runs, mismatched = sweep_digests(tmp)
     for schema, digest in digests.items():
         print(f"{schema} {digest}")
     print(f"{runs} runs in {time.perf_counter() - t0:.1f} s")
     wrong = [schema for schema, digest in digests.items() if digest != EXPECTED[schema]]
     for schema in wrong:
         print(f"{schema} digest mismatch: expected {EXPECTED[schema]}", file=sys.stderr)
-    if wrong:
+    if mismatched:
+        print(f"{mismatched} of {runs} to_jsonl files differ from to_jsonl_bytes()",
+              file=sys.stderr)
+    if wrong or mismatched:
         sys.exit(1)
