@@ -227,7 +227,11 @@ def cmd_constructs(args) -> int:
 
 def cmd_adversary(args) -> int:
     if args.schedule:
+        if args.out:
+            raise CliError("--out saves an extracted schedule; with --schedule nothing is extracted")
         sched = FiringSchedule.load(args.schedule)
+        if args.n is not None and args.n != sched.n:
+            raise CliError(f"--n {args.n} differs from the schedule's n = {sched.n}")
     else:
         if args.n is None:
             raise CliError("--n is required when extracting from a protocol")

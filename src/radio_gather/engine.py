@@ -272,13 +272,14 @@ class Trace:
         a dict per step with the receptions' messages as message_to_json
         gives them, and written TRACE_BLOCK records at a time: besides
         the trace, the writer holds one block's lines and the texts of
-        the messages seen so far."""
+        the messages and node ids seen so far."""
         fh.write(_dump_line(self._header()))
         if self.steps:
             steps = self.steps
             encoded: dict[int, str] = {}
+            ids, keys = _Texts("%s"), _Texts('"%s":')
             for i in range(0, len(steps), TRACE_BLOCK):
-                fh.writelines(_encode_steps(steps[i:i + TRACE_BLOCK], encoded))
+                fh.writelines(_encode_steps(steps[i:i + TRACE_BLOCK], encoded, ids, keys))
         fh.write(_dump_line(self._summary()))
 
     def _header(self) -> dict:
@@ -481,38 +482,57 @@ _STEP_LINE = '{"collisions":[%s],"kind":"step","receptions":{%s},"step":%d,"tran
 TRACE_BLOCK = 256
 
 
-def _encode_steps(steps: list[StepRecord], encoded: dict[int, str]) -> list[bytes]:
+class _Texts(dict):
+    """Node id -> its text in a step line, formatted by fmt the first
+    time it is asked for and stored for the rest of the write."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt):
+        self.fmt = fmt
+
+    def __missing__(self, v):
+        text = self[v] = self.fmt % v
+        return text
+
+
+def _encode_steps(steps: list[StepRecord], encoded: dict[int, str],
+                  ids: _Texts, keys: _Texts) -> list[bytes]:
     """The step line of each record, formatted without the generic encoder.
 
     One line per record, silent or not; run() records only steps with a
     transmitter.  Reception keys are node ids sorted as strings, as
-    sort_keys sorts them.  encoded maps id(message) to its text, so a
-    message object that several receptions share (a forwarded message,
-    a cached rumor set) is encoded once for as long as the caller keeps
-    the map; keying it by id() is sound while the records that hold
-    those messages stay alive.
+    sort_keys sorts them.  ids and keys hold each node id's text in a
+    list and as a reception key, and encoded maps id(message) to its
+    text, so a message object that several receptions share (a
+    forwarded message, a cached rumor set) is encoded once for as long
+    as the caller keeps the map; keying it by id() is sound while the
+    records that hold those messages stay alive.
     """
     out: list[bytes] = []
     append = out.append
+    text_of = ids.__getitem__
     for rec in steps:
         parts = []
-        for v, m in sorted(rec.receptions.items(), key=_str_key):
+        receptions = rec.receptions
+        for v in sorted(receptions, key=text_of):
+            m = receptions[v]
             text = encoded.get(id(m))
             if text is None:
                 text = encoded[id(m)] = _message_text(m)
-            parts.append('"%s":%s' % (v, text))
+            parts.append(keys[v] + text)
         append((_STEP_LINE % (
-            ",".join(map(str, rec.collisions)),
+            ",".join(map(text_of, rec.collisions)),
             ",".join(parts),
             rec.step,
-            ",".join(map(str, rec.transmitters)),
+            ",".join(map(text_of, rec.transmitters)),
         )).encode())
     return out
 
 
 def _step_lines(steps: list[StepRecord]) -> bytes:
     """Every step line of records, as the writer writes them."""
-    return b"".join(_encode_steps(steps, {}))
+    return b"".join(_encode_steps(steps, {}, _Texts("%s"), _Texts('"%s":')))
 
 
 # The reader's view of _STEP_LINE.  An integer text is taken as is only
@@ -608,10 +628,6 @@ def _parse_step_line(
         if start < j:  # a trailing comma
             return None
     return StepRecord(step, tx, rx, col)
-
-
-def _str_key(item: tuple[int, Message]) -> str:
-    return str(item[0])
 
 
 def _json_int(x: int | None) -> str:

@@ -561,20 +561,23 @@ class ScheduledFireForwardState(ProtocolState):
     message arrived exactly one step earlier, which silences the fire.
     At an unscheduled step the node retransmits a rumor that arrived one
     step earlier, if any.  Nothing else is ever sent, and received
-    rumors are never stored beyond that single step.  The own-rumor
-    message is built once, and a forward sends the received message
-    object itself: messages are immutable, so sharing them is safe.
-    A forward between fires moves neither the fire pointer nor the
-    sleep promise, which is what ProtocolState.forwards promises.
-    fires is taken as given: a tuple of distinct steps, ascending.
+    rumors are never stored beyond that single step.  A forward sends
+    the received message object itself: messages are immutable, so
+    sharing them is safe.  A forward between fires moves neither the
+    fire pointer nor the sleep promise, which is what
+    ProtocolState.forwards promises.
+
+    Both arguments are taken as given and built once per protocol
+    (scheduled_states), so a fresh state only stores them: own is the
+    label's own-rumor message, steps its fires as distinct ascending
+    steps closed by SLEEP_FOREVER, a step no clock reaches.
     """
 
     forwards = True
 
-    def __init__(self, label: int, fires: tuple[int, ...]):
-        self.own = FireAndForward(label)
-        # the fires, closed by a step no clock reaches
-        self._steps = fires + (SLEEP_FOREVER,)
+    def __init__(self, own: FireAndForward, steps: tuple[int, ...]):
+        self.own = own
+        self._steps = steps
         self._cursor = 0
         self._fp = 0
         self.asleep_until = self._steps[0]
@@ -651,6 +654,13 @@ class RandomFireForwardState(ProtocolState):
         if decided:
             return self.own if self.half or arrived is None else None
         return arrived
+
+
+def scheduled_states(fires) -> list[tuple[FireAndForward, tuple[int, ...]]]:
+    """ScheduledFireForwardState's arguments for each label, given its
+    fires as distinct ascending steps: the own-rumor message and the
+    fires closed by SLEEP_FOREVER."""
+    return [(FireAndForward(label), (*f, SLEEP_FOREVER)) for label, f in enumerate(fires)]
 
 
 def default_family(n: int, k: int) -> SelectiveFamily:
@@ -759,12 +769,13 @@ def make_protocol(
         batches = -(-n // d.m)
         # label b * m + j fires at b * span plus the offsets of index j + 1
         offsets = [sorted(set(offs)) for offs in d.sets]
-        fires = [tuple([b * span + tau for tau in offs]) for b in range(batches) for offs in offsets]
+        fires = [[b * span + tau for tau in offs] for b in range(batches) for offs in offsets]
+        args = scheduled_states(fires[:n])
         return Protocol(
             name="mls",
             message_kind=FireAndForward,
             state_factory=lambda label, n_, mode_, rng: ScheduledFireForwardState(
-                label, fires[label]
+                *args[label]
             ),
             n=n,
             mode=mode,

@@ -19,17 +19,15 @@ import math
 import numpy as np
 
 from .engine import (
-    Bounded,
     DuplexMode,
     FireAndForward,
     NodeView,
     Protocol,
-    SLEEP_FOREVER,
     Unbounded,
     mask_bits,
     run,
 )
-from .protocols import ScheduledFireForwardState
+from .protocols import ScheduledFireForwardState, scheduled_states
 from .trees import Tree, make_caterpillar
 
 
@@ -105,64 +103,84 @@ def _carried(msg) -> int:
     return 1 << msg.rumor
 
 
-def _replay(state, view, T: int, inject_step: int | None = None, inject_msg=None):
+def _replay(state, view, T: int, kind, fires: set[int] | None = None,
+            tau: int | None = None, probe=None) -> list[int]:
     """Drive one state alone for steps below T, honoring its sleep
-    promises the way the engine does, and return {step: message} for
-    every transmission.
+    promises the way the engine does, check each transmission as it is
+    made, and return the steps of its transmissions.
 
     The first act is due at asleep_until, or at 0 if the promise lies
     below 0; after an act at t the next is due at its new promise, or
-    at t + 1 if that is not later.  inject_msg arrives at inject_step
-    (tau): the act due at tau itself runs first, then the message joins
-    the inbox and pulls the next act to tau + 1 if it was due later.
-    Acts run in two stretches of the same loop, those before tau + 1
-    and the rest, so no step pays for the comparison with tau.
+    at t + 1 if that is not later.  probe arrives at tau: the act due at
+    tau itself runs first, then the message joins the inbox and pulls
+    the next act to tau + 1 if it was due later.
+
+    Each transmission, in step order, must be of kind; at tau + 1 it
+    must forward the probe's rumor, and tau + 1 must be no fire;
+    elsewhere it must fall on one of fires (any step, when fires is
+    None) and carry the label's own rumor alone.  A message object
+    that already passed as a fire passes again on identity; an equal
+    copy takes the full check.  After a probe, each of fires but tau + 1
+    must have been sent.  The first violation is raised as NotOblivious
+    only once the replay has run to T, so a later act that raises still
+    raises.
     """
-    out = {}
+    label = view.label
+    own_set = 1 << label
+    allowed = range(T) if fires is None else fires
+    fwd = -1 if tau is None else tau + 1
+    sent = []
+    append = sent.append
+    own = bad = None
     act = state.act
     t = state.asleep_until
     if t < 0:
         t = 0
-    stop = T if inject_step is None or inject_step >= T else inject_step + 1
+    stop = T if fwd < 0 or tau >= T else fwd
     while True:
         while t < stop:
             view.time = t
             msg = act(view)
-            if msg is not None:
-                out[t] = msg
+            if msg is not None and bad is None:
+                if msg is own and t != fwd and t in allowed:
+                    append(t)
+                elif type(msg) is not kind:
+                    bad = f"label {label} sent a {type(msg).__name__}"
+                elif t == fwd:
+                    carried = _carried(msg)
+                    if t in allowed:
+                        bad = f"label {label} fired at {t} over a fresh arrival"
+                    elif carried != _carried(probe):
+                        bad = (f"label {label} sent {mask_bits(carried)} at {t}, "
+                               f"not the forwarded rumor")
+                    else:
+                        append(t)
+                elif t not in allowed:
+                    bad = f"label {label} transmitted off schedule at {t}"
+                elif _carried(msg) != own_set:
+                    bad = (f"label {label} transmitted a rumor it never held at step {t}"
+                           if fires is None else
+                           f"label {label} changed its fire payload at {t}")
+                else:
+                    own = msg
+                    append(t)
             due = state.asleep_until
             t = due if due > t else t + 1
         if stop == T:
-            return out
-        view.inbox.append((inject_step, inject_msg))
+            break
+        view.inbox.append((tau, probe))
         if t > stop:
             t = stop
         stop = T
-
-
-def _clean_probe(seen, nxt, fire_set, kind, own_set, foreign_set) -> bool:
-    """Whether a probe's transmissions seen, with the arrival at nxt - 1,
-    pass every check of extract_schedule's walk, decided by whole-set
-    comparisons: the steps other than nxt are the fires other than nxt
-    and carry one message object, of kind, whose rumors are own_set; at
-    nxt the node sends nothing, or, if nxt is no fire, a message of kind
-    whose rumors are foreign_set.  False only means "walk this probe".
-    """
-    fires = seen
-    fwd = seen.get(nxt)
-    if fwd is not None:
-        if nxt in fire_set or type(fwd) is not kind or _carried(fwd) != foreign_set:
-            return False
-        fires = seen.copy()
-        del fires[nxt]
-    if (fires.keys() ^ fire_set) - {nxt}:
-        return False
-    if not fires:
-        return True
-    if len(set(map(id, fires.values()))) != 1:
-        return False
-    own = next(iter(fires.values()))
-    return type(own) is kind and _carried(own) == own_set
+    if bad is None and fires is not None:
+        missing = fires.difference(sent)
+        missing.discard(fwd)
+        if missing:
+            bad = (f"label {label} dropped scheduled fires {sorted(missing)} "
+                   f"after an arrival at {tau}")
+    if bad is not None:
+        raise NotOblivious(bad)
+    return sent
 
 
 def extract_schedule(
@@ -183,13 +201,14 @@ def extract_schedule(
     transmission, silent or probed, must be of the protocol's message
     kind; that check comes first.
 
-    Each probe replays a fresh state from step 0: rebuilding a state
-    and making its acts costs less than copying one.  The probe
-    message and the expected rumor sets are built once per label.  A
-    clean probe passes on whole-set comparisons (_clean_probe); any
-    other goes through a walk of its transmissions in step order, whose
-    only job is to name the first violation, so every NotOblivious
-    message is the one a walk of every probe would raise.
+    Each probe replays a fresh state from step 0, once: rebuilding a
+    state and making its acts costs less than copying one.  The replay
+    checks each transmission as it is made (_replay), so the
+    NotOblivious message names the first violation in step order.  The
+    probe message, the fire set and the probe steps are built once per
+    label.  mls and schedule_protocol build each label's own-rumor
+    message and its closed fire tuple once per protocol, so a fresh
+    state of theirs only stores them.
     """
     if protocol.needs_rng:
         raise NotOblivious("protocol draws randomness")
@@ -201,26 +220,15 @@ def extract_schedule(
         raise ValueError("no horizon known; pass T explicitly")
     mode = protocol.mode if protocol.mode is not None else DuplexMode.FULL
     kind = protocol.message_kind
+    factory = protocol.state_factory
 
     all_fires = []
     for label in range(n):
-        state = protocol.state_factory(label, n, mode, None)
-        silent = _replay(state, NodeView(label, n), horizon)
-        own_set = 1 << label
-        for t, msg in silent.items():
-            if type(msg) is not kind:
-                raise NotOblivious(f"label {label} sent a {type(msg).__name__}")
-            if _carried(msg) != own_set:
-                raise NotOblivious(
-                    f"label {label} transmitted a rumor it never held at step {t}"
-                )
-        fires = tuple(sorted(silent))
-        fire_set = set(fires)
-
+        fires = tuple(_replay(factory(label, n, mode, None), NodeView(label, n), horizon, kind))
         if n > 1:
+            fire_set = set(fires)
             foreign = (label + 1) % n
             probe = Unbounded(1 << foreign) if kind is Unbounded else kind(rumor=foreign)
-            foreign_set = 1 << foreign
             taus = {0, max(0, horizon - 2)}
             for f in fires:
                 taus.add(f)
@@ -230,44 +238,8 @@ def extract_schedule(
             if horizon > 1:
                 taus.update(int(x) for x in rng.integers(0, horizon - 1, size=probes))
             for tau in sorted(taus):
-                state = protocol.state_factory(label, n, mode, None)
-                seen = _replay(
-                    state,
-                    NodeView(label, n),
-                    horizon,
-                    inject_step=tau,
-                    inject_msg=probe,
-                )
-                if _clean_probe(seen, tau + 1, fire_set, kind, own_set, foreign_set):
-                    continue
-                for t, msg in seen.items():
-                    if type(msg) is not kind:
-                        raise NotOblivious(f"label {label} sent a {type(msg).__name__}")
-                    carried = _carried(msg)
-                    if t == tau + 1:
-                        if t in fire_set:
-                            raise NotOblivious(
-                                f"label {label} fired at {t} over a fresh arrival"
-                            )
-                        if carried != foreign_set:
-                            raise NotOblivious(
-                                f"label {label} sent {mask_bits(carried)} at {t}, "
-                                f"not the forwarded rumor"
-                            )
-                    elif t not in fire_set:
-                        raise NotOblivious(
-                            f"label {label} transmitted off schedule at {t}"
-                        )
-                    elif carried != own_set:
-                        raise NotOblivious(
-                            f"label {label} changed its fire payload at {t}"
-                        )
-                missing = fire_set - seen.keys() - {tau + 1}
-                if missing:
-                    raise NotOblivious(
-                        f"label {label} dropped scheduled fires {sorted(missing)} "
-                        f"after an arrival at {tau}"
-                    )
+                _replay(factory(label, n, mode, None), NodeView(label, n), horizon,
+                        kind, fire_set, tau, probe)
         all_fires.append(fires)
     return FiringSchedule(n=n, T=horizon, fires=tuple(all_fires))
 
@@ -277,17 +249,18 @@ def schedule_protocol(
 ) -> Protocol:
     """Replay a firing schedule as a protocol.  Labels beyond the
     schedule (relay nodes on a witness tree) never fire, only forward."""
-    fires = tuple(tuple(sorted(set(f))) for f in sched.fires)
+    n = n_total if n_total is not None else sched.n
+    fires = [sorted(set(f)) for f in sched.fires]
+    args = scheduled_states(fires + [()] * (n - len(fires)))
 
     def factory(label, n_, mode_, rng):
-        own = fires[label] if label < len(fires) else ()
-        return ScheduledFireForwardState(label, own)
+        return ScheduledFireForwardState(*args[label])
 
     return Protocol(
         name="schedule",
         message_kind=FireAndForward,
         state_factory=factory,
-        n=n_total if n_total is not None else sched.n,
+        n=n,
     )
 
 

@@ -304,6 +304,34 @@ def test_adversary_schedule_wrong_label_count(tmp_path, capsys):
     assert_input_error(capsys, rc, "wrong number of labels")
 
 
+def saved_schedule(tmp_path, n=6):
+    path = tmp_path / "sched.json"
+    FiringSchedule(n=n, T=n, fires=tuple((t,) for t in range(n))).save(str(path))
+    return path
+
+
+def test_adversary_schedule_refuses_out(tmp_path, capsys):
+    # nothing is extracted, so --out would have nothing to write
+    path = saved_schedule(tmp_path)
+    out = tmp_path / "G"
+    rc = run_cli(["adversary", "--schedule", str(path), "--out", str(out)])
+    assert_input_error(capsys, rc, "--out")
+    assert not out.exists()
+
+
+def test_adversary_schedule_refuses_another_n(tmp_path, capsys):
+    path = saved_schedule(tmp_path, n=16)
+    rc = run_cli(["adversary", "--schedule", str(path), "--n", "5"])
+    assert_input_error(capsys, rc, "--n 5 differs from the schedule's n = 16")
+
+
+def test_adversary_schedule_accepts_its_own_n(tmp_path, capsys):
+    path = saved_schedule(tmp_path)
+    rc = run_cli(["adversary", "--schedule", str(path), "--n", "6"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("schedule: n=6 T=6 firings=6\n")
+
+
 @pytest.mark.parametrize("args", [
     ["adversary", "--protocol", "mls", "--n", "0"],
     ["scaling", "--protocol", "mls", "--sizes", "8,0"],

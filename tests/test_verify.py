@@ -18,6 +18,7 @@ from radio_gather.engine import (
     Protocol,
     ProtocolState,
     ProtocolViolatedMessageBound,
+    SLEEP_FOREVER,
     run,
 )
 from radio_gather.protocols import ScheduledFireForwardState, make_protocol
@@ -357,6 +358,33 @@ def test_extract_names_violations_among_clean_looking_sets(cls, message):
         extract_schedule(hand_protocol(cls), T=HAND_T)
 
 
+class FiresOverALaterArrival(Stepwise):
+    def decide(self, t, arrived, view):
+        if t == FIRES[-1]:
+            return self.own
+        return super().decide(t, arrived, view)
+
+
+class RepeatsTheLastFire(Stepwise):
+    def decide(self, t, arrived, view):
+        if t == FIRES[-1] + 1 and view.inbox:
+            return self.own
+        return super().decide(t, arrived, view)
+
+
+@pytest.mark.parametrize("cls, message", [
+    pytest.param(cls, message, id=cls.__name__) for cls, message in [
+        (FiresOverALaterArrival, "label 0 fired at 7 over a fresh arrival"),
+        (RepeatsTheLastFire, "label 0 transmitted off schedule at 8"),
+    ]
+])
+def test_extract_names_violations_by_a_repeated_fire_object(cls, message):
+    # each violation resends the fire object the same replay already
+    # sent at step 3, which passed: a repeat is checked all the same
+    with pytest.raises(NotOblivious, match=f"^{re.escape(message)}$"):
+        extract_schedule(hand_protocol(cls), T=HAND_T)
+
+
 def sends_copies(proto):
     """proto whose states send a fresh, equal copy of every message: a
     new object at each fire, and a copy of each arrival they forward."""
@@ -376,23 +404,56 @@ def sends_copies(proto):
 
 
 @pytest.mark.parametrize("mode", [FULL, DuplexMode.HALF], ids=["full", "half"])
-def test_extract_accepts_copies_through_the_walk(monkeypatch, mode):
-    verdicts = []
-    bulk = verify._clean_probe
-
-    def spy(*args):
-        verdicts.append(bulk(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(verify, "_clean_probe", spy)
+def test_extract_accepts_equal_copies(mode):
+    # mls repeats one fire object per label, which passes on identity;
+    # copies are no one message object, so each takes the full check
     proto = make_protocol("mls", 32, mode)
-    want = extract_schedule(proto)
-    # every probe of mls passes on whole-set comparisons
-    assert verdicts and all(verdicts)
-    verdicts.clear()
-    # copies are no one message object, so the walk takes every probe
-    assert extract_schedule(sends_copies(proto)) == want
-    assert verdicts and not any(verdicts)
+    assert extract_schedule(sends_copies(proto)) == extract_schedule(proto)
+
+
+@pytest.mark.parametrize("mode, factories, acts", [
+    ("full", 4593, 62516),
+    ("half", 4600, 62611),
+])
+def test_every_probe_replays_a_fresh_state_once(mode, factories, acts):
+    # one silent replay per label and one per probe step, each of a new
+    # state from step 0: n + sum of the labels' probe counts
+    made, sent = [], []
+    proto = log_acts(make_protocol("mls", 128, DuplexMode(mode)), sent)
+    logged = proto.state_factory
+
+    def counting(*args):
+        made.append(args[0])
+        return logged(*args)
+
+    extract_schedule(dataclasses.replace(proto, state_factory=counting))
+    assert (len(made), len(sent)) == (factories, acts)
+
+
+class RaisesAtTheLastStep(Stepwise):
+    """Raises at the last step below HAND_T: in every replay if always,
+    else in those where a message arrived."""
+
+    always = False
+
+    def decide(self, t, arrived, view):
+        if t == HAND_T - 1 and (self.always or view.inbox):
+            raise RuntimeError(f"act at {t}")
+        return super().decide(t, arrived, view)
+
+
+@pytest.mark.parametrize("cls, always", [
+    (FiresNeighbour, True),
+    (ForwardsBounded, False),
+    (ForwardsOwn, False),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_replay_runs_to_the_horizon_past_a_violation(cls, always):
+    # the violation comes first, in the silent replay or at the forward
+    # of the probe at 0, and the act that raises last: the replay still
+    # reaches that act
+    raising = type("Raising" + cls.__name__, (RaisesAtTheLastStep, cls), {"always": always})
+    with pytest.raises(RuntimeError, match=f"^act at {HAND_T - 1}$"):
+        extract_schedule(hand_protocol(raising), T=HAND_T)
 
 
 class FiresBeforeZero(Stepwise):
@@ -417,33 +478,34 @@ def stepwise_replay(state, view, T, tau=None, msg=None):
 
 
 def replay_cases():
-    """(state factory, T) for states that keep their promises: mls
-    labels, the hand-built state (a promise of -3, then the current
+    """(state factory, label, T) for states that keep their promises:
+    mls labels, the hand-built state (a promise of -3, then the current
     step) and a pure relay (a promise of SLEEP_FOREVER)."""
     for mode in (DuplexMode.FULL, DuplexMode.HALF):
         proto = make_protocol("mls", 16, mode)
         for label in (0, 5, 15):
             yield pytest.param(
                 lambda p=proto, lab=label, m=mode: p.state_factory(lab, 16, m, None),
-                proto.horizon, id=f"mls-{mode.value}-{label}")
-    yield pytest.param(lambda: Stepwise(0, 3), HAND_T, id="stepwise")
-    yield pytest.param(lambda: FiresBeforeZero(0, 3), HAND_T, id="before-zero")
-    yield pytest.param(lambda: ScheduledFireForwardState(0, ()), HAND_T, id="relay")
+                label, proto.horizon, id=f"mls-{mode.value}-{label}")
+    yield pytest.param(lambda: Stepwise(0, 3), 0, HAND_T, id="stepwise")
+    yield pytest.param(lambda: FiresBeforeZero(0, 3), 0, HAND_T, id="before-zero")
+    yield pytest.param(lambda: ScheduledFireForwardState(FireAndForward(0), (SLEEP_FOREVER,)),
+                       0, HAND_T, id="relay")
 
 
-@pytest.mark.parametrize("make, T", list(replay_cases()))
-def test_replay_matches_stepwise_driver(make, T):
-    probe = FireAndForward(1)
+@pytest.mark.parametrize("make, label, T", list(replay_cases()))
+def test_replay_matches_stepwise_driver(make, label, T):
+    probe = FireAndForward(label + 1)
+    silent = stepwise_replay(make(), NodeView(label, 16), T)
+    assert _replay(make(), NodeView(label, 16), T, FireAndForward) == list(silent)
     # the probe steps extract_schedule uses, and the two past the horizon
-    taus = {None, 0, T - 2, T - 1, T, T + 5}
-    for f in stepwise_replay(make(), NodeView(0, 16), T):
+    taus = {0, T - 2, T - 1, T, T + 5}
+    for f in silent:
         taus.update((f - 1, f) if f > 0 else (f,))
-    for tau in sorted(taus, key=lambda x: -1 if x is None else x):
-        kwargs = {} if tau is None else {"inject_step": tau, "inject_msg": probe}
-        want = stepwise_replay(make(), NodeView(0, 16), T, tau, probe)
-        got = _replay(make(), NodeView(0, 16), T, **kwargs)
-        assert list(got.items()) == list(want.items()), tau
-        assert [m is probe for m in got.values()] == [m is probe for m in want.values()]
+    for tau in sorted(taus):
+        want = stepwise_replay(make(), NodeView(label, 16), T, tau, probe)
+        got = _replay(make(), NodeView(label, 16), T, FireAndForward, set(silent), tau, probe)
+        assert got == list(want), tau
 
 
 # sha256 of to_json() and act() count for mls, pinned when the replay
