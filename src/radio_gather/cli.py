@@ -227,15 +227,18 @@ def cmd_constructs(args) -> int:
 
 def cmd_adversary(args) -> int:
     if args.schedule:
-        if args.out:
-            raise CliError("--out saves an extracted schedule; with --schedule nothing is extracted")
+        for flag, given in (("--protocol", args.protocol), ("--duplex", args.duplex),
+                            ("--out", args.out)):
+            if given is not None:
+                raise CliError(f"{flag} only applies to extraction; with --schedule nothing is extracted")
         sched = FiringSchedule.load(args.schedule)
         if args.n is not None and args.n != sched.n:
             raise CliError(f"--n {args.n} differs from the schedule's n = {sched.n}")
     else:
         if args.n is None:
             raise CliError("--n is required when extracting from a protocol")
-        proto = make_protocol(args.protocol, _size(args.n, "--n"), DuplexMode(args.duplex))
+        mode = DuplexMode(args.duplex or "full")
+        proto = make_protocol(args.protocol or "mls", _size(args.n, "--n"), mode)
         _check_out(args)
         try:
             sched = extract_schedule(proto)
@@ -330,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("adversary",
                         help="extract a firing schedule and hunt a caterpillar witness")
-    common(sp, protocol=False, seed=False)
-    sp.add_argument("--protocol", choices=PROTOCOL_NAMES, default="mls")
+    sp.add_argument("--protocol", choices=PROTOCOL_NAMES, help="to extract from (default mls)")
+    sp.add_argument("--duplex", choices=("full", "half"), help="to extract under (default full)")
+    sp.add_argument("--out", help="write the extracted schedule here")
     sp.add_argument("--n", type=int)
     sp.add_argument("--schedule", help="skip extraction, read this schedule JSON")
     sp.set_defaults(func=cmd_adversary)

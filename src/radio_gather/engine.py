@@ -576,9 +576,8 @@ def _parse_step_line(
     each message text already loaded to its object, and lists each id
     list text already read.  A cached message text is a whole JSON
     object, so when the text up to the next "}" is cached, that "}"
-    ends the message; otherwise the JSON scanner finds its end."""
-    if not line.startswith(_STEP_OPEN):
-        return None
+    ends the message; otherwise the JSON scanner finds its end.  The
+    caller has checked that line starts with _STEP_OPEN."""
     i = line.find(_RX_OPEN, _NPREFIX)
     j = line.rfind(_STEP_KEY)
     start = i + len(_RX_OPEN)
@@ -636,7 +635,7 @@ def _json_int(x: int | None) -> str:
 
 def _message_text(m: Message) -> str:
     """_ENCODER.encode(message_to_json(m)), formatted directly for the
-    three kinds."""
+    three kinds; anything else is message_to_json's TypeError."""
     if type(m) is FireAndForward:
         return '{"kind":"fnf","rumor":%d}' % m.rumor
     if type(m) is Bounded:
@@ -645,7 +644,7 @@ def _message_text(m: Message) -> str:
         )
     if type(m) is Unbounded:
         return '{"aux":[],"kind":"unbounded","rumors":[%s]}' % ",".join(map(str, mask_bits(m.mask)))
-    return _ENCODER.encode(message_to_json(m))
+    raise TypeError(f"not a message: {m!r}")
 
 
 def mask_bits(mask: int) -> list[int]:

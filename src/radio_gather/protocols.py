@@ -10,13 +10,14 @@ Seven protocols, selected by string name through make_protocol():
   mls      oblivious fire-and-forward driven by a disperser schedule
   rtree    randomized label-independent fire-and-forward
 
-Every state keeps a cursor into its inbox and absorbs new entries at
-the top of act(), so neither the engine's wake scheduling nor its
+Every other state keeps a cursor into its inbox and absorbs new entries
+at the top of act(), so neither the engine's wake scheduling nor its
 sending of the ladders' standing beats (it leaves out repeats a parent
-already holds) changes what a node knows, only when it looks.  The
-fire-and-forward states keep nothing of a message but the next step's
-forward, so the engine sends the relay hops that fall between a node's
-fires itself (ProtocolState.forwards) and those never reach the inbox.
+already holds) changes what a node knows, only when it looks.  mls,
+rtree and schedule replays run one FireForwardState, which keeps
+nothing of a message but the next step's forward, so the engine sends
+the relay hops that fall between a node's fires itself
+(ProtocolState.forwards) and those never reach the inbox.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .engine import (
     Protocol,
     ProtocolState,
     SLEEP_FOREVER,
+    StateFactory,
     Unbounded,
 )
 from .selectors import (
@@ -54,29 +56,15 @@ def ceil_log2(n: int) -> int:
 def ceil_cbrt(n: int) -> int:
     """Smallest k with k**3 >= n, for n >= 1.
 
-    Integer arithmetic only; float cube roots land on the wrong side
-    of exact cubes (27 ** (1 / 3) rounds up to 4 after ceil).
+    The rounded float cube root is only an estimate, raised to the
+    answer in integers: for large n it lies below the true root by
+    more than a unit, since 1.0 / 3.0 < 1/3, but it is never a half or
+    more above it, so it never passes the answer.
     """
     k = max(1, round(n ** (1.0 / 3.0)))
     while k ** 3 < n:
         k += 1
-    while k > 1 and (k - 1) ** 3 >= n:
-        k -= 1
     return k
-
-
-def _take_arrival(view, cursor: int, t: int):
-    """Consume inbox entries up to step t-1; return (message heard at
-    t-1 or None, cursor).  The message is returned itself, so a
-    fire-and-forward state forwards it without building a new one."""
-    inbox = view.inbox
-    got = None
-    while cursor < len(inbox):
-        s, msg = inbox[cursor]
-        cursor += 1
-        if s == t - 1:
-            got = msg
-    return got, cursor
 
 
 class UnboundedRumors(ProtocolState):
@@ -554,113 +542,73 @@ class HeightPhaseRelayState(CensusLadderState):
         return None
 
 
-class ScheduledFireForwardState(ProtocolState):
-    """Oblivious fire-and-forward against a fixed firing schedule.
+class FireForwardState(ProtocolState):
+    """Fire-and-forward, the one rule mls, rtree and schedule replays
+    share: a node sends only its own rumor or the rumor it heard one
+    step earlier, and which steps it fires on is all that tells them
+    apart.
 
-    At a scheduled step the node transmits its own rumor, unless a
-    message arrived exactly one step earlier, which silences the fire.
-    At an unscheduled step the node retransmits a rumor that arrived one
-    step earlier, if any.  Nothing else is ever sent, and received
-    rumors are never stored beyond that single step.  A forward sends
-    the received message object itself: messages are immutable, so
-    sharing them is safe.  A forward between fires moves neither the
-    fire pointer nor the sleep promise, which is what
-    ProtocolState.forwards promises.
-
-    Both arguments are taken as given and built once per protocol
-    (scheduled_states), so a fresh state only stores them: own is the
-    label's own-rumor message, steps its fires as distinct ascending
-    steps closed by SLEEP_FOREVER, a step no clock reaches.
+    fires iterates over the node's fire steps, distinct and ascending
+    and never exhausted before a step no clock reaches (a schedule
+    closes them by SLEEP_FOREVER).  asleep_until is always the next
+    fire.  At a fire step the node sends own, unless a message arrived
+    one step earlier and yields is set, which silences the fire; half
+    duplex rtree does not yield, since the channel already discards a
+    reception at a transmitting node.  At any other step it forwards
+    the arrival, the message object itself: messages are immutable, so
+    sharing them is safe.  Nothing of an arrival is kept past the next
+    step, so the state needs no inbox cursor, and a forward between
+    fires moves neither the fire nor the sleep promise, which is what
+    ProtocolState.forwards promises.  No caller acts past a state's
+    next fire (run() and every replay act at the sleep promise or at
+    the step after an arrival, whichever comes first), so act() never
+    catches up on fires it missed.
     """
 
     forwards = True
 
-    def __init__(self, own: FireAndForward, steps: tuple[int, ...]):
+    def __init__(self, own: FireAndForward, fires, yields: bool = True):
         self.own = own
-        self._steps = steps
-        self._cursor = 0
-        self._fp = 0
-        self.asleep_until = self._steps[0]
+        self.yields = yields
+        self._fires = fires
+        self.asleep_until = next(fires)
 
     def act(self, view):
         t = view.time
-        arrived = None
-        if self._cursor < len(view.inbox):
-            arrived, self._cursor = _take_arrival(view, self._cursor, t)
-        steps = self._steps
-        fp = self._fp
-        while steps[fp] < t:
-            fp += 1
-        if steps[fp] == t:
-            fp += 1
-            self._fp = fp
-            self.asleep_until = steps[fp]
-            return self.own if arrived is None else None
-        self._fp = fp
-        self.asleep_until = steps[fp]
+        inbox = view.inbox
+        # arrivals come in step order, so one at t - 1 is the last
+        arrived = inbox[-1][1] if inbox and inbox[-1][0] == t - 1 else None
+        if t == self.asleep_until:
+            self.asleep_until = next(self._fires)
+            return self.own if arrived is None or not self.yields else None
         return arrived
 
 
-class RandomFireForwardState(ProtocolState):
-    """Label-independent fire-and-forward: fire with probability 1/n
-    each step, forward whatever arrived one step earlier.
+def scheduled_factory(fires) -> StateFactory:
+    """The state factory of an oblivious schedule: label l fires at
+    fires[l], distinct ascending steps.  Each label's own-rumor message
+    and its fires closed by SLEEP_FOREVER are built once here, so a
+    fresh state only stores them."""
+    args = [(FireAndForward(label), (*f, SLEEP_FOREVER)) for label, f in enumerate(fires)]
 
-    Full duplex silences a fire that coincides with an arrival, like
-    the scheduled variant.  Half duplex always lets the fire through;
-    the channel itself discards receptions at a transmitting node, so
-    the suppression happens at the receiver with no decision needed.
-    Fire steps are drawn as geometric gaps, which keeps sleep intervals
-    long without changing the per-step law.  The gaps come 16 per
-    generator call, the values 16 single draws would give; the
-    generator is this node's alone, so drawing ahead changes nothing
-    else.  Messages are shared as in
-    ScheduledFireForwardState: one own-rumor message, forwards by
-    reference.  A forward before next_fire draws nothing and leaves
-    the sleep promise as it was, as ProtocolState.forwards promises.
-    """
+    def factory(label, n, mode, rng):
+        own, steps = args[label]
+        return FireForwardState(own, iter(steps))
 
-    forwards = True
-
-    def __init__(self, label: int, n: int, mode: DuplexMode, rng):
-        self.own = FireAndForward(label)
-        self.n = n
-        self.half = mode is DuplexMode.HALF
-        self.rng = rng
-        self.next_fire = -1
-        self._gaps = []
-        self._cursor = 0
-        self._advance(0)
-
-    def _advance(self, floor: int) -> None:
-        while self.next_fire < floor:
-            if not self._gaps:
-                # reversed, so pop() takes the next gap
-                self._gaps = self.rng.geometric(1.0 / self.n, size=16).tolist()[::-1]
-            self.next_fire += self._gaps.pop()
-        self.asleep_until = self.next_fire
-
-    def act(self, view):
-        t = view.time
-        arrived = None
-        if self._cursor < len(view.inbox):
-            arrived, self._cursor = _take_arrival(view, self._cursor, t)
-        if t > self.next_fire:
-            self._advance(t)
-        decided = t == self.next_fire
-        if decided:
-            self._advance(t + 1)
-        else:
-            self.asleep_until = self.next_fire
-        if decided:
-            return self.own if self.half or arrived is None else None
-        return arrived
+    return factory
 
 
-def scheduled_states(fires) -> list[tuple[FireAndForward, tuple[int, ...]]]:
-    """ScheduledFireForwardState's arguments for each label, given its
-    fires as distinct ascending steps: the own-rumor message and the
-    fires closed by SLEEP_FOREVER."""
-    return [(FireAndForward(label), (*f, SLEEP_FOREVER)) for label, f in enumerate(fires)]
+def geometric_fires(n: int, rng):
+    """rtree's fire steps: each step fires with probability 1/n, drawn
+    as geometric gaps, which keeps sleep intervals long without
+    changing the per-step law.  The gaps come 16 per generator call,
+    the values 16 single draws would give; the generator is this
+    node's alone, so drawing ahead changes nothing else."""
+    t = -1
+    while True:
+        for gap in rng.geometric(1.0 / n, size=16).tolist():
+            t += gap
+            yield t
 
 
 def default_family(n: int, k: int) -> SelectiveFamily:
@@ -770,13 +718,10 @@ def make_protocol(
         # label b * m + j fires at b * span plus the offsets of index j + 1
         offsets = [sorted(set(offs)) for offs in d.sets]
         fires = [[b * span + tau for tau in offs] for b in range(batches) for offs in offsets]
-        args = scheduled_states(fires[:n])
         return Protocol(
             name="mls",
             message_kind=FireAndForward,
-            state_factory=lambda label, n_, mode_, rng: ScheduledFireForwardState(
-                *args[label]
-            ),
+            state_factory=scheduled_factory(fires[:n]),
             n=n,
             mode=mode,
             horizon=batches * span,
@@ -786,8 +731,8 @@ def make_protocol(
         return Protocol(
             name="rtree",
             message_kind=FireAndForward,
-            state_factory=lambda label, n_, mode_, rng: RandomFireForwardState(
-                label, n_, mode_, rng
+            state_factory=lambda label, n_, mode_, rng: FireForwardState(
+                FireAndForward(label), geometric_fires(n_, rng), mode_ is not DuplexMode.HALF
             ),
             n=n,
             mode=None,

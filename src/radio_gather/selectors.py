@@ -48,9 +48,8 @@ def is_prime(m: int) -> bool:
 
 
 def smallest_prime_with_square_geq(n: int) -> int:
+    # isqrt is exact, so (isqrt(n - 1) + 1)**2 >= n for every n >= 1
     p = max(2, math.isqrt(max(n - 1, 0)) + 1)
-    if p * p < n:  # isqrt rounding guard
-        p += 1
     while not is_prime(p):
         p += 1
     return p

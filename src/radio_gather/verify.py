@@ -27,7 +27,7 @@ from .engine import (
     mask_bits,
     run,
 )
-from .protocols import ScheduledFireForwardState, scheduled_states
+from .protocols import scheduled_factory
 from .trees import Tree, make_caterpillar
 
 
@@ -251,15 +251,10 @@ def schedule_protocol(
     schedule (relay nodes on a witness tree) never fire, only forward."""
     n = n_total if n_total is not None else sched.n
     fires = [sorted(set(f)) for f in sched.fires]
-    args = scheduled_states(fires + [()] * (n - len(fires)))
-
-    def factory(label, n_, mode_, rng):
-        return ScheduledFireForwardState(*args[label])
-
     return Protocol(
         name="schedule",
         message_kind=FireAndForward,
-        state_factory=factory,
+        state_factory=scheduled_factory(fires + [()] * (n - len(fires))),
         n=n,
     )
 

@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
-from radio_gather import cli
+from radio_gather import cli, trees
 from radio_gather.cli import main
-from radio_gather.engine import Trace
+from radio_gather.engine import DuplexMode, Trace
 from radio_gather.protocols import make_protocol, step_cap
 from radio_gather.trees import make_random_tree, save_tree
 from radio_gather.verify import FiringSchedule
@@ -199,6 +200,32 @@ def test_verify_lemmas_clean(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("owner, lemma, broken, count", [
+    (trees, "log_gamma_bound", lambda n, gamma: -1.0, 60),
+    (trees.Tree, "subtree_sizes", lambda tree: [0] * tree.n, 60),
+    (trees, "subtree_above", lambda tree, gamma, h: tree, None),
+])
+def test_verify_lemmas_counts_violations(monkeypatch, capsys, owner, lemma, broken, count):
+    # the first two lemmas break on each of the 20 trees once per gamma,
+    # the last wherever a tree has a core of height 1 or more
+    monkeypatch.setattr(owner, lemma, broken)
+    rc = run_cli(["verify-lemmas", "--trials", "20", "--max-n", "40"])
+    found = re.fullmatch(r"checked 20 random trees, (\d+) violations\n", capsys.readouterr().out)
+    assert rc == 1
+    assert int(found[1]) == count if count else int(found[1]) > 0
+
+
+def test_scaling_warns_of_runs_that_miss_the_cap(capsys):
+    rc = run_cli(["scaling", "--protocol", "rtree", "--sizes", "8,16", "--trials", "2",
+                  "--max-steps", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == ("warning: 2/2 runs at n=8 hit the step cap 5\n"
+                   "warning: 2/2 runs at n=16 hit the step cap 5\n")
+    # an incomplete run counts the steps it ran, the cap
+    assert [row[2] for row in csv.reader(io.StringIO(out))][1:] == ["5", "5"]
+
+
 def test_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("RADIO_GATHER_SEED", "7")
     rc = run_cli(["run", "--protocol", "rr-bnd", "--tree", "star", "--n", "4"])
@@ -319,6 +346,24 @@ def test_adversary_schedule_refuses_out(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--protocol", "rr-unb"), ("--duplex", "half"),
+                                         ("--protocol", "mls"), ("--duplex", "full")])
+def test_adversary_schedule_refuses_extraction_options(tmp_path, capsys, flag, value):
+    # they choose what to extract from, and a schedule is read as it is;
+    # the defaults, given by name, are refused too
+    path = saved_schedule(tmp_path)
+    rc = run_cli(["adversary", "--schedule", str(path), flag, value])
+    assert_input_error(capsys, rc, f"{flag} only applies to extraction")
+
+
+def test_adversary_extracts_under_the_duplex_given(tmp_path, capsys):
+    out = tmp_path / "sched.json"
+    assert run_cli(["adversary", "--n", "6", "--duplex", "half", "--out", str(out)]) == 0
+    half = make_protocol("mls", 6, DuplexMode.HALF).horizon
+    assert half != make_protocol("mls", 6).horizon
+    assert FiringSchedule.load(str(out)).T == half
+
+
 def test_adversary_schedule_refuses_another_n(tmp_path, capsys):
     path = saved_schedule(tmp_path, n=16)
     rc = run_cli(["adversary", "--schedule", str(path), "--n", "5"])
@@ -349,6 +394,8 @@ def test_nonpositive_sizes_rejected(args, capsys):
      "--max-steps must be at least 0"),
     (["scaling", "--protocol", "unb1", "--sizes", "8", "--trials", "0"],
      "--trials must be at least 1"),
+    (["scaling", "--protocol", "unb1", "--sizes", "8,x"], "comma-separated integers"),
+    (["scaling", "--protocol", "unb1", "--sizes", ","], "--sizes is empty"),
     (["verify-lemmas", "--max-n", "0"], "--max-n must be at least 1"),
     (["verify-lemmas", "--trials", "-1"], "--trials must be at least 1"),
 ])
@@ -407,10 +454,12 @@ def refuse(*args, **kwargs):
 @pytest.mark.parametrize("where, needle", [
     ("no-dir/out", "No such file"),
     (".", "Is a directory"),
+    ("file/out", "Not a directory"),
 ])
 def test_unwritable_out_fails_before_the_work(
     tmp_path, monkeypatch, capsys, args, work, where, needle
 ):
+    (tmp_path / "file").write_text("")
     monkeypatch.setattr(cli, work, refuse)
     out = tmp_path / where
     rc = run_cli(args + ["--out", str(out)])
@@ -425,3 +474,10 @@ def test_failed_command_leaves_no_out_file(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert run_cli(args + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_out_replaces_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "family.json"
+    out.write_text("old\n")
+    assert run_cli(["constructs", "--kind", "family", "--n", "10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 10

@@ -521,6 +521,19 @@ def test_step_writer_matches_generic_encoding_on_hand_built_records():
     assert _step_lines([]) == b""
 
 
+@dataclasses.dataclass(frozen=True)
+class Ping:
+    rumor: int
+
+
+def test_step_writer_refuses_a_foreign_message():
+    # a fourth kind has no text: the writer raises message_to_json's error
+    with pytest.raises(TypeError, match=r"^not a message: Ping\(rumor=1\)$"):
+        _step_lines([StepRecord(0, (1,), {0: Ping(1)}, ())])
+    with pytest.raises(TypeError, match=r"^not a message: Ping\(rumor=1\)$"):
+        message_to_json(Ping(1))
+
+
 # ---------------------------------------------------------------- streaming writer
 
 
@@ -1440,3 +1453,18 @@ def test_unrecorded_runs_match_recorded(name, mode):
             recorded = run(tree, proto, mode, max_steps=cap, seed=3, record_steps=True)
             plain = run(tree, proto, mode, max_steps=cap, seed=3)
             assert summary(plain) == summary(recorded), (family, n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: load_summary(b"", lines=()), "trace stream is missing its header or summary record"),
+    (lambda: load_summary(recorded_summary([ACTIVE]),
+                          header=HEADER.replace(b'"max_steps":%d' % FAR_STEPS, b'"max_steps":-1')),
+     "max_steps -1 is no step count"),
+    (lambda: load_summary(recorded_summary([ACTIVE]).replace(b'{"0":0}', b'[0]')),
+     r"delivery \[0\] is no map of rumors to steps"),
+    (lambda: run(make_path(2), relay_protocol(), FULL, max_steps=-1),
+     "max_steps must be nonnegative"),
+], ids=["no summary", "max_steps", "delivery", "run max_steps"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -5,6 +5,7 @@ correctness argument leans on."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from radio_gather import trees
@@ -18,6 +19,7 @@ from radio_gather.engine import (
 )
 from radio_gather.protocols import (
     PROTOCOL_NAMES,
+    FireForwardState,
     HeightPhaseRelayState,
     ceil_cbrt,
     ceil_log2,
@@ -31,7 +33,9 @@ from radio_gather.selectors import (
     build_selective_family,
     kautz_singleton_family,
 )
+from radio_gather.verify import extract_schedule, schedule_protocol
 
+from test_dense_reference import dense_run, random_schedule
 from test_engine import hide_offer, log_acts
 
 FULL = DuplexMode.FULL
@@ -283,12 +287,12 @@ def test_selector_ladder_family_size_mismatch():
         make_protocol("unb2", 8, family=empty)
 
 
-def stepwise_sends(state, n, horizon, arrivals=()):
-    """The steps at which state, driven alone through act() from step 0,
-    transmits.  arrivals lists (step, message) receptions in step order.
-    The state acts where its sleep promise runs out and at the step
-    after each arrival, as run() drives a state that makes no offer."""
-    view = NodeView(state.label, n)
+def stepwise_sends(state, view, horizon, arrivals=()):
+    """The steps at which state, driven alone through act() on view
+    from step 0, transmits.  arrivals lists (step, message) receptions
+    in step order.  The state acts where its sleep promise runs out and
+    at the step after each arrival, as run() drives a state that makes
+    no offer."""
     pending = list(arrivals)
     sent = []
     due = max(0, state.asleep_until)
@@ -321,7 +325,7 @@ def test_selector_ladder_push_window_ends_with_the_relay_window():
         for alpha, arrivals in ((0, ()), (5, ((child, Unbounded(1 << child)),
                                               (n + 3 * 4 + 1, Unbounded(1 << child))))):
             state = proto.state_factory(label, n, FULL, None)
-            sent = stepwise_sends(state, n, proto.horizon, arrivals)
+            sent = stepwise_sends(state, NodeView(label, n), proto.horizon, arrivals)
             assert state.alpha == alpha
             ladder = [divmod(t - n, 3) for t in sent if t >= n]
             relay = alpha + (label - alpha) % n
@@ -542,6 +546,53 @@ def test_random_fire_forward_ignores_labels():
     assert ([(r.step, r.transmitters, r.collisions) for r in a.steps]
             == [(r.step, r.transmitters, r.collisions) for r in b.steps])
     assert b.delivery == {perm[l]: t for l, t in a.delivery.items()}
+
+
+class NoCatchUp(FireForwardState):
+    """Fails an act past the state's next fire: FireForwardState keeps
+    no catch-up loop, so a caller that skipped a fire would lose it."""
+
+    def act(self, view):
+        assert view.time <= self.asleep_until, (view.time, self.asleep_until)
+        return super().act(view)
+
+
+def no_catch_up(proto):
+    factory = proto.state_factory
+
+    def make(*args):
+        state = factory(*args)
+        state.__class__ = NoCatchUp
+        return state
+
+    return dataclasses.replace(proto, state_factory=make)
+
+
+def test_no_caller_acts_past_the_next_fire():
+    # the guard fails a late act; then everything that drives
+    # fire-and-forward states runs under it: run() with and without an
+    # observer, the dense reference, stepwise_sends and extraction's
+    # replays
+    late = no_catch_up(make_protocol("mls", 4)).state_factory(1, 4, FULL, None)
+    view = NodeView(1, 4)
+    view.time = late.asleep_until + 1
+    with pytest.raises(AssertionError):
+        late.act(view)
+    tree = trees.from_family("random", 48, seed=3)
+    for mode in (FULL, HALF):
+        protos = [make_protocol("mls", 48, mode), make_protocol("rtree", 48, mode),
+                  schedule_protocol(random_schedule(48, 1))]
+        for proto in map(no_catch_up, protos):
+            cap = step_cap(proto)
+            run(tree, proto, mode, max_steps=cap, seed=3, observer=lambda *a: None)
+            run(tree, proto, mode, max_steps=cap, seed=3)
+            dense_run(tree, proto, mode, cap, 3)
+            for label in range(48):
+                rng = np.random.default_rng([3, label])
+                state = proto.state_factory(label, 48, mode, rng)
+                arrivals = [(t, FireAndForward(0)) for t in range(0, cap, 5)]
+                stepwise_sends(state, NodeView(label, 48), cap, arrivals)
+        extract_schedule(no_catch_up(make_protocol("mls", 16, mode)))
 
 
 def test_message_kinds():

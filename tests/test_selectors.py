@@ -180,6 +180,28 @@ def test_uncovered_firing_bad_index():
         uncovered_firing(d, {}, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_disperser(10, FULL).offsets(0), r"index 0 outside 1\.\.2"),
+    (lambda: build_disperser(0), "n must be positive"),
+    (lambda: kautz_singleton_parameters(0, 2), "need n >= 1 and k >= 1"),
+    (lambda: kautz_singleton_parameters(8, 0), "need n >= 1 and k >= 1"),
+    (lambda: build_selective_family(0, 1), "need n >= 1 and k >= 1"),
+    (lambda: build_selective_family(8, 0), "need n >= 1 and k >= 1"),
+], ids=["offsets index", "disperser n", "kautz n", "kautz k", "family n", "family k"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_a_family_for_no_set_size_passes_vacuously():
+    assert verify_selective_family(SelectiveFamily(n=4, k=0, m=0, sets=()))
+
+
+def test_uncovered_firing_none_when_every_offset_is_covered():
+    d = Disperser(n=2, p=2, m=2, s=1, mode=FULL, sets=((0,), (0,)))
+    assert uncovered_firing(d, {}, 1) is None
+
+
 # ---------------------------------------------------------------------------
 # selective families
 

@@ -285,3 +285,17 @@ def test_load_rejects_truncated(tmp_path):
     p.write_text("3\n0\n0\n")
     with pytest.raises(trees.TreeError):
         load_tree(str(p))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: build_tree([]), "tree needs at least one node"),
+    (lambda tmp: make_complete_kary(0, 2), "need k >= 1 and depth >= 0"),
+    (lambda tmp: make_complete_kary(2, -1), "need k >= 1 and depth >= 0"),
+    (lambda tmp: make_caterpillar(0, []), "spine must have at least one node"),
+    (lambda tmp: subtree_above(make_path(3), 2, -1), "h must be nonnegative"),
+    (lambda tmp: load_tree(str(tmp / "blank")), "blank is empty"),
+], ids=["no nodes", "k 0", "depth -1", "no spine", "h -1", "blank file"])
+def test_refusals(tmp_path, call, message):
+    (tmp_path / "blank").write_text("\n  \n")
+    with pytest.raises(trees.TreeError, match=f"{message}$"):
+        call(tmp_path)

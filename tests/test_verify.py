@@ -21,7 +21,7 @@ from radio_gather.engine import (
     SLEEP_FOREVER,
     run,
 )
-from radio_gather.protocols import ScheduledFireForwardState, make_protocol
+from radio_gather.protocols import FireForwardState, make_protocol
 from radio_gather.verify import (
     CaterpillarWitness,
     FiringSchedule,
@@ -118,6 +118,19 @@ def test_schedule_json_rejects_empty_descriptions(text, needle):
         FiringSchedule.from_json(text)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: FiringSchedule.load(str(tmp / "binary")), "binary is not a text file"),
+    (lambda tmp: extract_schedule(dataclasses.replace(make_protocol("mls", 4), n=None)),
+     "protocol must be bound to a network size"),
+    (lambda tmp: extract_schedule(dataclasses.replace(make_protocol("mls", 4), horizon=None)),
+     "no horizon known; pass T explicitly"),
+], ids=["not text", "unbound", "no horizon"])
+def test_refusals(tmp_path, call, message):
+    (tmp_path / "binary").write_bytes(b"\xff\xfe{")
+    with pytest.raises(ValueError, match=f"{message}$"):
+        call(tmp_path)
+
+
 def test_witness_found_for_single_firing_schedules():
     for seed in range(5):
         sched = single_firing_schedule(16, seed=seed)
@@ -158,6 +171,11 @@ def test_witness_trivial_for_silent_victim():
 def test_witness_absent_when_windows_disjoint():
     sched = FiringSchedule(n=2, T=10, fires=((0,), (5,)))
     assert find_caterpillar_witness(sched) is None
+
+
+def test_witness_none_for_a_lone_label():
+    # a one-node caterpillar is the root alone, whose rumor is delivered
+    assert find_caterpillar_witness(FiringSchedule(n=1, T=1, fires=((0,),))) is None
 
 
 def test_witness_none_for_disperser_schedule():
@@ -489,7 +507,7 @@ def replay_cases():
                 label, proto.horizon, id=f"mls-{mode.value}-{label}")
     yield pytest.param(lambda: Stepwise(0, 3), 0, HAND_T, id="stepwise")
     yield pytest.param(lambda: FiresBeforeZero(0, 3), 0, HAND_T, id="before-zero")
-    yield pytest.param(lambda: ScheduledFireForwardState(FireAndForward(0), (SLEEP_FOREVER,)),
+    yield pytest.param(lambda: FireForwardState(FireAndForward(0), iter((SLEEP_FOREVER,))),
                        0, HAND_T, id="relay")
 
 
