@@ -455,12 +455,17 @@ def refuse(*args, **kwargs):
     ("no-dir/out", "No such file"),
     (".", "Is a directory"),
     ("file/out", "Not a directory"),
+    ("file", "Permission denied"),
+    ("new", "Permission denied"),
 ])
 def test_unwritable_out_fails_before_the_work(
     tmp_path, monkeypatch, capsys, args, work, where, needle
 ):
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(cli, work, refuse)
+    if needle == "Permission denied":
+        # root may write anywhere, so the file system cannot refuse here
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     out = tmp_path / where
     rc = run_cli(args + ["--out", str(out)])
     assert_input_error(capsys, rc, f"cannot write --out {out}: {needle}")

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radio_gather import engine
 from radio_gather.engine import (
     Bounded,
     DuplexMode,
@@ -19,12 +18,8 @@ from radio_gather.engine import (
     ProtocolViolatedMessageBound,
     SLEEP_FOREVER,
     StepRecord,
-    TRACE_BLOCK,
     Trace,
     Unbounded,
-    _dump_line,
-    _parse_step_line,
-    _step_lines,
     mask_bits,
     message_from_json,
     message_to_json,
@@ -32,6 +27,7 @@ from radio_gather.engine import (
     step,
 )
 from radio_gather.protocols import PROTOCOL_NAMES, make_protocol, step_cap
+from radio_gather.trace import TRACE_BLOCK_BYTES, _dump_line, _encode_steps, _parse_step_line
 from radio_gather.trees import FAMILIES, build_tree, from_family, make_path, make_star
 from radio_gather.verify import FiringSchedule, schedule_protocol
 
@@ -477,12 +473,17 @@ def generic_step_line(rec):
     })
 
 
+def step_lines(steps):
+    """Every step line of records, as the writer writes them."""
+    return b"".join(line for block in _encode_steps(steps) for line in block)
+
+
 def assert_steps_match_reference(steps):
-    direct = _step_lines(steps)
+    direct = step_lines(steps)
     reference = b"".join(generic_step_line(rec) for rec in steps)
     if direct != reference:
         for rec in steps:
-            assert _step_lines([rec]) == generic_step_line(rec), rec
+            assert step_lines([rec]) == generic_step_line(rec), rec
     # also catches a fault that only shows across records, in the
     # writer's per-call cache of encoded messages
     assert direct == reference
@@ -517,8 +518,8 @@ def test_step_writer_matches_generic_encoding_on_hand_built_records():
     ]
     assert_steps_match_reference(steps)
     # string order, not number order: "10" sorts before "2"
-    assert _step_lines(steps[5:6]).index(b'"10"') < _step_lines(steps[5:6]).index(b'"2"')
-    assert _step_lines([]) == b""
+    assert step_lines(steps[5:6]).index(b'"10"') < step_lines(steps[5:6]).index(b'"2"')
+    assert step_lines([]) == b""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -529,7 +530,7 @@ class Ping:
 def test_step_writer_refuses_a_foreign_message():
     # a fourth kind has no text: the writer raises message_to_json's error
     with pytest.raises(TypeError, match=r"^not a message: Ping\(rumor=1\)$"):
-        _step_lines([StepRecord(0, (1,), {0: Ping(1)}, ())])
+        step_lines([StepRecord(0, (1,), {0: Ping(1)}, ())])
     with pytest.raises(TypeError, match=r"^not a message: Ping\(rumor=1\)$"):
         message_to_json(Ping(1))
 
@@ -558,10 +559,21 @@ def block_trace(count, recorded=True):
                  steps_executed=count, steps=steps if recorded else None)
 
 
-@pytest.mark.parametrize("count", [0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1,
-                                   3 * TRACE_BLOCK, 3 * TRACE_BLOCK + 5])
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 768, 773])
 @pytest.mark.parametrize("recorded", [True, False])
-def test_trace_writer_streams_whole_and_partial_blocks(tmp_path, count, recorded):
+def test_trace_writer_streams_whole_and_partial_blocks(tmp_path, monkeypatch, count, recorded):
+    # a budget that the first 256 lines fill exactly: 256 records make
+    # one whole block, and the other counts end in a partial one
+    budget = len(step_lines(block_trace(256).steps))
+    monkeypatch.setattr("radio_gather.trace.TRACE_BLOCK_BYTES", budget)
+    sizes = []
+    for block in _encode_steps(block_trace(count).steps):
+        # a block ends with the line that brings it to the budget
+        assert sum(map(len, block[:-1])) < budget
+        sizes.append(sum(map(len, block)))
+    assert all(size >= budget for size in sizes[:-1])
+    assert (sizes == [budget]) == (count == 256)
+    assert (len(sizes) > 1) == (count > 256)
     trace = block_trace(count, recorded)
     want = (_dump_line(trace._header())
             + b"".join(generic_step_line(rec) for rec in trace.steps or ())
@@ -574,13 +586,14 @@ def test_trace_writer_streams_whole_and_partial_blocks(tmp_path, count, recorded
     assert back.steps == trace.steps
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_trace_bytes_do_not_depend_on_the_block(monkeypatch, block):
-    # bnd shares rumor-set objects across steps; an odd block splits
-    # the records unevenly
+@pytest.mark.parametrize("budget", [1, 4099])
+def test_trace_bytes_do_not_depend_on_the_block(monkeypatch, budget):
+    # bnd shares rumor-set objects across steps.  A 1-byte budget makes
+    # each line a block and empties the message cache at each; an odd
+    # one splits the records unevenly
     trace = recorded_trace("random", N, "bnd", "full")
     want = trace.to_jsonl_bytes()
-    monkeypatch.setattr(engine, "TRACE_BLOCK", block)
+    monkeypatch.setattr("radio_gather.trace.TRACE_BLOCK_BYTES", budget)
     assert trace.to_jsonl_bytes() == want
 
 
@@ -602,6 +615,28 @@ def test_trace_writer_holds_the_text_once(name, mode):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * len(blob), (peak, len(blob))
+
+
+@pytest.mark.parametrize("mode", ["full", "half"])
+@pytest.mark.parametrize("name", ["bnd", "unb1"])
+def test_trace_file_write_holds_a_block_not_the_messages(tmp_path, name, mode):
+    # besides the trace, to_jsonl holds one block of lines and a bounded
+    # message cache.  bnd and unb1 records carry many rumor sets of
+    # kilobytes each, so a block of a fixed count of records, or a cache
+    # of every message's text, holds far more here
+    duplex = DuplexMode(mode)
+    proto = make_protocol(name, 256, duplex)
+    trace = run(from_family("random", 256, 100), proto, duplex, max_steps=step_cap(proto),
+                seed=100, record_steps=True)
+    path = str(tmp_path / "t.jsonl")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace.to_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * TRACE_BLOCK_BYTES, peak
 
 
 # the hand-written traces' tree size: every node id and rumor lies below
@@ -946,7 +981,7 @@ def test_reader_mutated_step_lines_load_as_json_reads_them():
         proto = make_protocol(name, 16, FULL)
         trace = run(from_family("random", 16, seed=3), proto, FULL,
                     max_steps=step_cap(proto), seed=3, record_steps=True)
-        lines += _step_lines(trace.steps[:20]).splitlines(keepends=True)
+        lines += step_lines(trace.steps[:20]).splitlines(keepends=True)
     lines.append(rx_line(b'"1":{"aux":[["}",1],[",\\"9\\":{",2]],"kind":"unbounded","rumors":[2]}'))
     rng = np.random.default_rng(7)
     for _ in range(3000):

@@ -27,7 +27,8 @@ import sys
 import tempfile
 import time
 
-from radio_gather.engine import DuplexMode, run
+from radio_gather.engine import run
+from radio_gather.messages import DuplexMode
 from radio_gather.protocols import PROTOCOL_NAMES, make_protocol, step_cap
 from radio_gather.trees import FAMILIES, from_family
 

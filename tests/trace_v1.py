@@ -8,7 +8,7 @@ and v2_from_v1() goes back the other way on bytes.
 import dataclasses
 import re
 
-from radio_gather.engine import TRACE_SCHEMA, StepRecord, Trace
+from radio_gather.trace import TRACE_SCHEMA, StepRecord, Trace
 
 V1_TAG = b'"schema":"radio-gather-trace/1"'
 V2_TAG = b'"schema":"%s"' % TRACE_SCHEMA.encode()
