@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-from typing import IO, Iterator
+from sys import getsizeof
+from typing import IO, Iterable, Iterator
 
 from .messages import Bounded, DuplexMode, FireAndForward, Message, Unbounded, mask_bits
 
@@ -65,14 +66,11 @@ class Trace:
         summary go through the generic sorted-key encoder.  Step lines
         are formatted directly, byte for byte what that encoder makes of
         a dict per step with the receptions' messages as message_to_json
-        gives them, and written a block of about TRACE_BLOCK_BYTES at a
-        time: besides the trace, the writer holds one block's lines, up
-        to about as many bytes of message texts, and the node ids' texts."""
+        gives them, and written one at a time: besides the trace, the
+        writer holds one line, a message-text cache of about
+        TEXT_CACHE_BYTES, and the node ids' texts."""
         fh.write(_dump_line(self._header()))
-        if self.steps:
-            for block in _encode_steps(self.steps):
-                fh.writelines(block)
-                block.clear()
+        fh.writelines(_step_lines(self.steps or ()))
         fh.write(_dump_line(self._summary()))
 
     def _header(self) -> dict:
@@ -111,13 +109,16 @@ class Trace:
         through json.loads.  A step with no transmitter, reception or
         collision is dropped, so /1's silent lines load to nothing.
 
-        The records kept must describe a run of the header's n-node
-        tree: the header comes first, every node id, rumor and sender
-        lies below n, and the steps are integers that rise from 0 and
-        stay below the summary's steps_executed.  Ids are checked once
-        per distinct message and id list text.  The summary must
-        describe the same run (_check_summary).  Anything else raises
-        ValueError."""
+        The records must come in the writer's order: the header, then
+        the steps, then one summary, last.  Every line is a JSON object
+        of one of these kinds, and a step has the writer's four fields,
+        its transmitters and collisions lists and its receptions an
+        object.  The records kept must describe a run of the header's
+        n-node tree: every node id, rumor and sender lies below n, and
+        the steps are integers that rise from 0 and stay below the
+        summary's steps_executed.  Ids are checked once per distinct
+        message and id list text.  The summary must describe the same
+        run (_check_summary).  Anything else raises ValueError."""
         header = None
         summary = None
         steps: list[StepRecord] = []
@@ -126,7 +127,7 @@ class Trace:
         lists: dict[str, tuple[int, ...]] = {}
         for raw in fh:
             rec = None
-            if raw[:_NPREFIX] == _STEP_PREFIX and header is not None:
+            if raw[:_NPREFIX] == _STEP_PREFIX and header is not None and summary is None:
                 line = raw.decode("utf-8", "surrogatepass")
                 rec = _parse_step_line(line, n, messages, lists)
             if rec is None:
@@ -145,22 +146,17 @@ class Trace:
                     if type(n) is not int or not 1 <= n <= LABEL_LIMIT:
                         raise ValueError(f"header n {n!r} is no tree size")
                     header = obj
-                elif kind == "summary":
-                    summary = obj
-                if kind != "step":
                     continue
+                if kind not in ("step", "summary"):
+                    raise ValueError(f"trace record of unknown kind {kind!r:.40}")
                 if header is None:
-                    raise ValueError("a step record comes before the header")
-                rec = StepRecord(
-                    step=obj["step"],
-                    transmitters=tuple(obj["transmitters"]),
-                    receptions={
-                        int(v): message_from_json(m, n) for v, m in obj["receptions"].items()
-                    },
-                    collisions=tuple(obj["collisions"]),
-                )
-                if not _below(rec.transmitters + rec.collisions + tuple(rec.receptions), n):
-                    raise ValueError(f"step record {rec.step!r} names a node outside 0..{n - 1}")
+                    raise ValueError(f"a {kind} record comes before the header")
+                if summary is not None:
+                    raise ValueError(f"a {kind} record follows the summary")
+                if kind == "summary":
+                    summary = obj
+                    continue
+                rec = _step_from_json(obj, n)
             if rec.transmitters or rec.receptions or rec.collisions:
                 if type(rec.step) is not int or rec.step <= last:
                     raise ValueError(f"step record {rec.step!r} does not follow step {last}")
@@ -186,6 +182,24 @@ class Trace:
 _HEADER_FIELDS = ("protocol", "mode", "seed", "max_steps", "recorded")
 _SUMMARY_FIELDS = ("delivery", "completion_step", "incomplete", "collisions_total",
                    "steps_executed")
+# a step line's fields, each with the type json gives it ("step" any)
+_STEP_FIELDS = (("step", object), ("transmitters", list), ("receptions", dict),
+                ("collisions", list))
+
+
+def _step_from_json(obj: dict, n: int) -> StepRecord:
+    """The record of a step line that json.loads read as obj, or a
+    ValueError that names the step unless obj has each of _STEP_FIELDS
+    with its type and every id lies below n."""
+    step = obj.get("step")
+    for field, kind in _STEP_FIELDS:
+        if field not in obj or not isinstance(obj[field], kind):
+            raise ValueError(f"step record {step!r} lacks a {field} {kind.__name__}")
+    tx, rx, col = tuple(obj["transmitters"]), obj["receptions"], tuple(obj["collisions"])
+    rec = StepRecord(step, tx, {int(v): message_from_json(m, n) for v, m in rx.items()}, col)
+    if not _below(tx + col + tuple(rec.receptions), n):
+        raise ValueError(f"step record {step!r} names a node outside 0..{n - 1}")
+    return rec
 
 
 def _is_count(x) -> bool:
@@ -269,9 +283,10 @@ def _dump_line(obj: dict) -> bytes:
 _STEP_LINE = '{"collisions":[%s],"kind":"step","receptions":{%s},"step":%d,"transmitters":[%s]}\n'
 
 
-# Bytes of step lines per write, not a count of records: one bnd record
-# can hold a hundred rumor sets of kilobytes each.
-TRACE_BLOCK_BYTES = 1 << 16
+# What the writer's message texts may occupy (sys.getsizeof) before its
+# cache starts over: one bnd record can hold a hundred rumor sets of
+# kilobytes each, an mls record a few texts of 26 characters.
+TEXT_CACHE_BYTES = 1 << 16
 
 
 class _Texts(dict):
@@ -288,10 +303,9 @@ class _Texts(dict):
         return text
 
 
-def _encode_steps(steps: list[StepRecord]) -> Iterator[list[bytes]]:
+def _step_lines(steps: Iterable[StepRecord]) -> Iterator[bytes]:
     """The step line of each record, formatted without the generic
-    encoder, in blocks that end with the line that brings a block to
-    TRACE_BLOCK_BYTES, or with the last record.
+    encoder.
 
     One line per record, silent or not; run() records only steps with a
     transmitter.  Reception keys are node ids sorted as strings, as
@@ -299,16 +313,13 @@ def _encode_steps(steps: list[StepRecord]) -> Iterator[list[bytes]]:
     list and as a reception key.  encoded maps id(message) to its text,
     so a message that several receptions share (a forwarded message, a
     cached rumor set) is encoded once while cached; keying it by id() is
-    sound while the records stay alive.  It is emptied at the first block
-    end once its texts reach TRACE_BLOCK_BYTES, not at every one: rumor
-    sets recur across blocks.
+    sound while the records stay alive.  It starts over when the texts
+    it holds reach TEXT_CACHE_BYTES.
     """
-    budget = TRACE_BLOCK_BYTES
     ids, keys = _Texts("%s"), _Texts('"%s":')
     text_of = ids.__getitem__
     encoded: dict[int, str] = {}
-    out: list[bytes] = []
-    size = held = 0
+    held = 0
     for rec in steps:
         parts = []
         receptions = rec.receptions
@@ -316,35 +327,26 @@ def _encode_steps(steps: list[StepRecord]) -> Iterator[list[bytes]]:
             m = receptions[v]
             text = encoded.get(id(m))
             if text is None:
+                if held >= TEXT_CACHE_BYTES:
+                    encoded.clear()
+                    held = 0
                 text = encoded[id(m)] = _message_text(m)
-                held += len(text)
+                held += getsizeof(text)
             parts.append(keys[v] + text)
-        line = (_STEP_LINE % (
+        yield (_STEP_LINE % (
             ",".join(map(text_of, rec.collisions)),
             ",".join(parts),
             rec.step,
             ",".join(map(text_of, rec.transmitters)),
         )).encode()
-        out.append(line)
-        size += len(line)
-        if size >= budget:
-            yield out
-            out, size = [], 0
-            if held >= budget:
-                encoded.clear()
-                held = 0
-    if out:
-        yield out
 
 
-# The reader's view of _STEP_LINE.  An integer text is taken as is only
-# when it is the one str() gives its value, which is how json reads it.
-_STEP_OPEN = '{"collisions":['
+# The reader's view of _STEP_LINE: the text around its four fields.  An
+# integer text is taken as is only when it is the one str() gives its
+# value, which is how json reads it.
+_STEP_OPEN, _RX_OPEN, _STEP_KEY, _TX_KEY, _STEP_END = _STEP_LINE.replace("%d", "%s").split("%s")
 _STEP_PREFIX = _STEP_OPEN.encode()
 _NPREFIX = len(_STEP_OPEN)
-_RX_OPEN = '],"kind":"step","receptions":{'
-_STEP_KEY = '},"step":'
-_TX_KEY = ',"transmitters":['
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -386,11 +388,10 @@ def _parse_step_line(
     if i < 0 or j < start:
         return None
     k = line.find(_TX_KEY, j)
-    close = -3 if line.endswith("]}\n") else -2 if line.endswith("]}") else 0
-    if k < 0 or not close:
+    if k < 0 or not line.endswith(_STEP_END):
         return None
     col = _int_list(line[_NPREFIX:i], n, lists)
-    tx = _int_list(line[k + len(_TX_KEY):close], n, lists)
+    tx = _int_list(line[k + len(_TX_KEY):-len(_STEP_END)], n, lists)
     t = line[j + len(_STEP_KEY):k]
     try:
         step = int(t)
@@ -475,11 +476,8 @@ LABEL_LIMIT = 1 << 24
 
 
 # Each kind's fields, as message_to_json writes them.
-_KINDS = {
-    frozenset(("aux", "kind", "rumors")): "unbounded",
-    frozenset(("height2", "kind", "parity", "rumor", "sender")): "bounded",
-    frozenset(("kind", "rumor")): "fnf",
-}
+_KINDS = {frozenset(obj): obj["kind"] for obj in map(
+    message_to_json, (Unbounded(0), Bounded(rumor=0), FireAndForward(rumor=0)))}
 
 
 def _label(x, limit: int = LABEL_LIMIT, optional: bool = False):

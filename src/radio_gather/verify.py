@@ -183,13 +183,13 @@ def _replay(state, view, T: int, kind, fires: set[int] | None = None,
     return sent
 
 
-def extract_schedule(
-    protocol: Protocol,
-    T: int | None = None,
-    *,
-    probes: int = 8,
-    probe_seed: int = 0,
-) -> FiringSchedule:
+# Probe steps drawn per label besides 0, horizon - 2 and each fire and
+# the step before it, from a generator seeded with (PROBE_SEED, label).
+PROBES = 8
+PROBE_SEED = 0
+
+
+def extract_schedule(protocol: Protocol, T: int | None = None) -> FiringSchedule:
     """Read the firing schedule off an oblivious protocol, or raise
     NotOblivious.
 
@@ -234,9 +234,9 @@ def extract_schedule(
                 taus.add(f)
                 if f > 0:
                     taus.add(f - 1)
-            rng = np.random.default_rng([probe_seed, label])
+            rng = np.random.default_rng([PROBE_SEED, label])
             if horizon > 1:
-                taus.update(int(x) for x in rng.integers(0, horizon - 1, size=probes))
+                taus.update(int(x) for x in rng.integers(0, horizon - 1, size=PROBES))
             for tau in sorted(taus):
                 _replay(factory(label, n, mode, None), NodeView(label, n), horizon,
                         kind, fire_set, tau, probe)

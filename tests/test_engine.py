@@ -27,7 +27,7 @@ from radio_gather.engine import (
     step,
 )
 from radio_gather.protocols import PROTOCOL_NAMES, make_protocol, step_cap
-from radio_gather.trace import TRACE_BLOCK_BYTES, _dump_line, _encode_steps, _parse_step_line
+from radio_gather.trace import TEXT_CACHE_BYTES, _dump_line, _parse_step_line, _step_lines
 from radio_gather.trees import FAMILIES, build_tree, from_family, make_path, make_star
 from radio_gather.verify import FiringSchedule, schedule_protocol
 
@@ -475,7 +475,7 @@ def generic_step_line(rec):
 
 def step_lines(steps):
     """Every step line of records, as the writer writes them."""
-    return b"".join(line for block in _encode_steps(steps) for line in block)
+    return b"".join(_step_lines(steps))
 
 
 def assert_steps_match_reference(steps):
@@ -546,61 +546,21 @@ def test_trace_file_holds_the_trace_bytes(tmp_path, name, mode):
     assert path.read_bytes() == trace.to_jsonl_bytes()
 
 
-def block_trace(count, recorded=True):
-    """A trace of count records on 16 nodes.  Every record receives one
-    shared message, so each block after the first finds it in the
-    writer's cache."""
-    shared = Unbounded(0b1011)
-    steps = [StepRecord(t, (1, 2, 5), {0: shared, 3: Bounded(rumor=t % 7, sender=5)}
-                        if t % 3 else {0: shared}, (4,) if t % 5 == 0 else ())
-             for t in range(count)]
-    return Trace(protocol="x", n=16, mode=FULL, seed=0, max_steps=count, delivery={0: 0},
-                 completion_step=None, collisions_total=sum(len(r.collisions) for r in steps),
-                 steps_executed=count, steps=steps if recorded else None)
-
-
-@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 768, 773])
-@pytest.mark.parametrize("recorded", [True, False])
-def test_trace_writer_streams_whole_and_partial_blocks(tmp_path, monkeypatch, count, recorded):
-    # a budget that the first 256 lines fill exactly: 256 records make
-    # one whole block, and the other counts end in a partial one
-    budget = len(step_lines(block_trace(256).steps))
-    monkeypatch.setattr("radio_gather.trace.TRACE_BLOCK_BYTES", budget)
-    sizes = []
-    for block in _encode_steps(block_trace(count).steps):
-        # a block ends with the line that brings it to the budget
-        assert sum(map(len, block[:-1])) < budget
-        sizes.append(sum(map(len, block)))
-    assert all(size >= budget for size in sizes[:-1])
-    assert (sizes == [budget]) == (count == 256)
-    assert (len(sizes) > 1) == (count > 256)
-    trace = block_trace(count, recorded)
-    want = (_dump_line(trace._header())
-            + b"".join(generic_step_line(rec) for rec in trace.steps or ())
-            + _dump_line(trace._summary()))
-    assert trace.to_jsonl_bytes() == want
-    path = tmp_path / "t.jsonl"
-    trace.to_jsonl(str(path))
-    assert path.read_bytes() == want
-    back = Trace.from_jsonl_lines(io.BytesIO(want))
-    assert back.steps == trace.steps
-
-
 @pytest.mark.parametrize("budget", [1, 4099])
-def test_trace_bytes_do_not_depend_on_the_block(monkeypatch, budget):
-    # bnd shares rumor-set objects across steps.  A 1-byte budget makes
-    # each line a block and empties the message cache at each; an odd
-    # one splits the records unevenly
+def test_trace_bytes_do_not_depend_on_the_cache_budget(monkeypatch, budget):
+    # bnd shares rumor-set objects across steps.  A 1-byte budget starts
+    # the message cache over at each text it encodes; an odd one at
+    # uneven points
     trace = recorded_trace("random", N, "bnd", "full")
     want = trace.to_jsonl_bytes()
-    monkeypatch.setattr("radio_gather.trace.TRACE_BLOCK_BYTES", budget)
+    monkeypatch.setattr("radio_gather.trace.TEXT_CACHE_BYTES", budget)
     assert trace.to_jsonl_bytes() == want
 
 
 @pytest.mark.parametrize("mode", ["full", "half"])
 @pytest.mark.parametrize("name", ["mls", "bnd"])
 def test_trace_writer_holds_the_text_once(name, mode):
-    # the text once, in the buffer getvalue() hands back, plus one block
+    # the text once, in the buffer getvalue() hands back, plus one line
     # and the message cache; joining the whole trace's lines peaked at
     # 3.2 to 3.6 times the text
     duplex = DuplexMode(mode)
@@ -617,26 +577,44 @@ def test_trace_writer_holds_the_text_once(name, mode):
     assert peak <= 2 * len(blob), (peak, len(blob))
 
 
-@pytest.mark.parametrize("mode", ["full", "half"])
-@pytest.mark.parametrize("name", ["bnd", "unb1"])
-def test_trace_file_write_holds_a_block_not_the_messages(tmp_path, name, mode):
-    # besides the trace, to_jsonl holds one block of lines and a bounded
-    # message cache.  bnd and unb1 records carry many rumor sets of
-    # kilobytes each, so a block of a fixed count of records, or a cache
-    # of every message's text, holds far more here
-    duplex = DuplexMode(mode)
-    proto = make_protocol(name, 256, duplex)
-    trace = run(from_family("random", 256, 100), proto, duplex, max_steps=step_cap(proto),
-                seed=100, record_steps=True)
-    path = str(tmp_path / "t.jsonl")
+def file_write_peak(trace, path):
+    """The traced memory to_jsonl(path) allocates at its peak."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         trace.to_jsonl(path)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * TRACE_BLOCK_BYTES, peak
+
+
+@pytest.mark.parametrize("mode", ["full", "half"])
+@pytest.mark.parametrize("name", ["bnd", "unb1"])
+def test_trace_file_write_holds_the_cache_budget_not_the_messages(tmp_path, name, mode):
+    # besides the trace, to_jsonl holds one line and a message cache of
+    # about TEXT_CACHE_BYTES.  bnd and unb1 records carry many rumor sets
+    # of kilobytes each, so a cache of every message's text, or a batch
+    # of lines, holds far more here
+    duplex = DuplexMode(mode)
+    proto = make_protocol(name, 256, duplex)
+    trace = run(from_family("random", 256, 100), proto, duplex, max_steps=step_cap(proto),
+                seed=100, record_steps=True)
+    peak = file_write_peak(trace, str(tmp_path / "t.jsonl"))
+    assert peak <= 3 * TEXT_CACHE_BYTES, peak
+
+
+def test_trace_file_write_counts_what_the_cached_texts_occupy(tmp_path):
+    # a message object per record, with a text of 24 characters: the
+    # cache counts each at what the str occupies (73 bytes), so it starts
+    # over after about 900 texts, not the 2700 that their characters fill
+    steps = [StepRecord(t, (1,), {0: FireAndForward(t % 10)}, ()) for t in range(20000)]
+    trace = Trace(protocol="x", n=16, mode=FULL, seed=0, max_steps=len(steps), delivery={0: 0},
+                  completion_step=None, collisions_total=0, steps_executed=len(steps),
+                  steps=steps)
+    path = tmp_path / "t.jsonl"
+    peak = file_write_peak(trace, str(path))
+    assert peak <= 3 * TEXT_CACHE_BYTES, peak
+    assert Trace.from_jsonl(str(path)).steps == steps
 
 
 # the hand-written traces' tree size: every node id and rumor lies below
@@ -670,10 +648,17 @@ def load_steps(*lines, summary=SUMMARY):
     return Trace.from_jsonl_lines(io.BytesIO(HEADER + b"".join(lines) + summary)).steps
 
 
+# a step's fields and the JSON type of each
+STEP_TYPES = {"step": object, "transmitters": list, "receptions": dict, "collisions": list}
+
+
 def step_from_json(line):
     """The record json.loads reads from line, or the ValueError the reader
-    raises for a record that names a node or rumor outside the tree."""
+    raises for a record that lacks a field, has one of the wrong type or
+    names a node or rumor outside the tree."""
     obj = json.loads(line)
+    if not all(f in obj and isinstance(obj[f], t) for f, t in STEP_TYPES.items()):
+        raise ValueError(f"step record {obj.get('step')!r} has no step fields")
     rec = StepRecord(
         step=obj["step"],
         transmitters=tuple(obj["transmitters"]),
@@ -735,12 +720,15 @@ ACTIVE = (b'{"collisions":[0],"kind":"step","receptions":{"1":{"kind":"fnf","rum
           b'"step":5,"transmitters":[2,3,4]}\n')
 
 
-def test_reader_silent_line_without_newline():
-    # the last line may lack its newline, whether its step is silent or not
+def test_reader_last_line_without_newline():
+    # the last line, the summary, may lack its newline; a step line that
+    # lacks one would come after it, whether its step is silent or not
     for line, want in ((SILENT, []), (ACTIVE, [step_from_json(ACTIVE)])):
-        last = line.rstrip(b"\n")
         summary = recorded_summary([line])
-        assert Trace.from_jsonl_lines(io.BytesIO(HEADER + summary + last)).steps == want
+        assert Trace.from_jsonl_lines(io.BytesIO(HEADER + line + summary.rstrip(b"\n"))
+                                      ).steps == want
+        with pytest.raises(ValueError, match="^a step record follows the summary$"):
+            Trace.from_jsonl_lines(io.BytesIO(HEADER + summary + line.rstrip(b"\n")))
         assert load_steps(line) == want
 
 
@@ -909,6 +897,67 @@ def test_reader_requires_one_header_first(lines):
         Trace.from_jsonl_lines(io.BytesIO(b"".join(lines) + SUMMARY))
 
 
+ACTIVE_SUMMARY = recorded_summary([ACTIVE])
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([ACTIVE_SUMMARY, HEADER, ACTIVE, ACTIVE_SUMMARY], "a summary record comes before the header"),
+    ([HEADER, ACTIVE, ACTIVE_SUMMARY, ACTIVE_SUMMARY], "a summary record follows the summary"),
+    ([HEADER, ACTIVE_SUMMARY, ACTIVE], "a step record follows the summary"),
+    ([HEADER, ACTIVE_SUMMARY, SILENT], "a step record follows the summary"),
+    ([HEADER, ACTIVE_SUMMARY, HEADER], "a second header record"),
+    ([HEADER, b"{}\n", ACTIVE, ACTIVE_SUMMARY], "trace record of unknown kind None"),
+    ([HEADER, ACTIVE, b'{"kind":"bogus"}\n', ACTIVE_SUMMARY],
+     "trace record of unknown kind 'bogus'"),
+    ([b'{"kind":["step"]}\n', HEADER, ACTIVE_SUMMARY],
+     r"trace record of unknown kind \['step'\]"),
+], ids=["summary first", "two summaries", "step after the summary",
+        "silent step after the summary", "header after the summary", "no kind", "bogus kind",
+        "list kind"])
+def test_reader_requires_header_steps_and_one_summary_last(lines, message):
+    # the writer's order: the header, then steps, then one summary, last;
+    # each of these traces would load without the line out of order
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Trace.from_jsonl_lines(io.BytesIO(b"".join(lines)))
+    # a blank line anywhere is no record
+    assert len(Trace.from_jsonl_lines(io.BytesIO(
+        b"\n" + HEADER + b"\n" + ACTIVE + b"\n" + ACTIVE_SUMMARY + b"\n")).steps) == 1
+
+
+DROP = object()
+
+
+def generic_active(**fields):
+    """ACTIVE as json.dumps writes it, not in the writer's layout, with
+    fields replaced (a field of value DROP removed)."""
+    obj = json.loads(ACTIVE)
+    obj.update(fields)
+    return json.dumps({k: v for k, v in obj.items() if v is not DROP}).encode() + b"\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    (generic_active(step=DROP), "step record None lacks a step object"),
+    (generic_active(transmitters=DROP), "step record 5 lacks a transmitters list"),
+    (generic_active(receptions=DROP), "step record 5 lacks a receptions dict"),
+    (generic_active(collisions=DROP), "step record 5 lacks a collisions list"),
+    (generic_active(receptions=[]), "step record 5 lacks a receptions dict"),
+    (generic_active(receptions=None), "step record 5 lacks a receptions dict"),
+    (generic_active(transmitters=3), "step record 5 lacks a transmitters list"),
+    (generic_active(transmitters={}), "step record 5 lacks a transmitters list"),
+    (generic_active(transmitters="234"), "step record 5 lacks a transmitters list"),
+    (generic_active(collisions=None), "step record 5 lacks a collisions list"),
+    (generic_active(step=None, collisions={}), "step record None lacks a collisions list"),
+], ids=repr)
+def test_reader_rejects_step_lines_without_the_writers_fields(line, message):
+    # a line outside the writer's layout goes through json.loads; one
+    # without a step's four fields and their types is a ValueError that
+    # names the step, not a KeyError, TypeError or AttributeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_steps(line)
+    with pytest.raises(ValueError):
+        step_from_json(line)
+
+
 # every rumor delivered, the last (rumor 1) at step 5; keys in the
 # writer's string order
 ALL_DELIVERED = b'"delivery":{%s}' % b",".join(
@@ -952,13 +1001,14 @@ def test_reader_message_running_to_the_line_end(end):
 
 def loaded_as_json_reads(line):
     """What the reader must make of line: the step json.loads reads,
-    none for another kind or a silent step, or the error it raises.
-    A kept step that is no integer in [0, FAR_STEPS) describes no run
-    of FAR_SUMMARY's, and raises ValueError."""
+    none for a silent step, or the error it raises.  Among the lines
+    between the header and the summary only steps belong, so a line of
+    another kind raises ValueError, and so does a kept step that is no
+    integer in [0, FAR_STEPS): it describes no run of FAR_SUMMARY's."""
     try:
         obj = json.loads(line)
-        if obj.get("kind") != "step":
-            return []
+        if type(obj) is not dict or obj.get("kind") != "step":
+            return ValueError
         want = step_from_json(line)
     except Exception as exc:
         return type(exc)
