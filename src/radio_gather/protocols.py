@@ -174,13 +174,14 @@ class CensusLadderState(ProtocolState):
     Subclasses say what a reception adds (_receive), which missing
     child a ladder message comes from (_missing_sender), what they
     transmit (_message), and their duty beats (_duties).  The beats are
-    data, built once at activation: _duties(relay, end) returns a
-    standing beat, the round its window ends, extra (round, beat)
-    pairs, and the step to sleep until after all of them.  relay is the
-    one round of the relay window alpha .. end - 1 that the node's label
-    owns.  An active node sleeps from one duty step to the next, so it
-    is not woken at steps where it stays silent; absorbing a reception
-    never moves them, since alpha is fixed once set.
+    data, built once at activation: beat 1 of every round in a window
+    is the standing beat, and _duties(relay, end) returns the round the
+    window ends, extra (round, beat) pairs, and the step to sleep until
+    after all of them.  relay is the one round of the relay window
+    alpha .. end - 1 that the node's label owns.  An active node sleeps
+    from one duty step to the next, so it is not woken at steps where it
+    stays silent; absorbing a reception never moves them, since alpha is
+    fixed once set.
 
     At its first standing-beat transmission the node offers the rest
     of that beat (ProtocolState.standing); its message is fixed by
@@ -241,9 +242,9 @@ class CensusLadderState(ProtocolState):
         self.alpha = alpha
         n = self.n
         relay = alpha + (self.label - alpha) % n
-        beat, end, extras, self._after = self._duties(relay, alpha + n)
-        self._first = self.round_step(n, alpha, beat)
-        self._stop = self.round_step(n, max(end, alpha), beat)
+        end, extras, self._after = self._duties(relay, alpha + n)
+        self._first = self.round_step(n, alpha, 1)
+        self._stop = self.round_step(n, max(end, alpha), 1)
         # extras still ahead, latest first; _x is the earliest of them
         self._extras = sorted((self.round_step(n, s, b) for s, b in extras), reverse=True)
         self._x = -1
@@ -324,7 +325,7 @@ class LadderFloodState(UnboundedRumors, CensusLadderState):
     def _duties(self, relay: int, end: int):
         """Beat 1 of every round in the window, beat 0 of the relay
         round."""
-        return 1, end, ((relay, 0),), SLEEP_FOREVER
+        return end, ((relay, 0),), SLEEP_FOREVER
 
 
 class SelectorLadderFloodState(LadderFloodState):
@@ -389,7 +390,7 @@ class SelectorLadderFloodState(LadderFloodState):
             s = a + (i - a) % m
             if s < push_end and self.label in members:
                 extras.append((s, 2))
-        return 1, push_end, extras, SLEEP_FOREVER
+        return push_end, extras, SLEEP_FOREVER
 
 
 class HeightPhaseRelayState(CensusLadderState):
@@ -493,7 +494,7 @@ class HeightPhaseRelayState(CensusLadderState):
         the node sleeps until its own height phase."""
         end = min(end, self.rounds(self.n))
         extras = ((relay, 0), (relay, 2)) if relay < end else ()
-        return 1, end, extras, self.home
+        return end, extras, self.home
 
     def _message(self) -> Bounded:
         return self._report
@@ -627,7 +628,6 @@ def make_protocol(
     n: int,
     mode: DuplexMode = DuplexMode.FULL,
     *,
-    kappa: int | None = None,
     family: SelectiveFamily | None = None,
     disperser: Disperser | None = None,
 ) -> Protocol:
@@ -674,10 +674,9 @@ def make_protocol(
             horizon=LadderFloodState.horizon(n, mode),
         )
     if name == "unb2":
-        k = kappa if kappa is not None else ceil_cbrt(n)
         fam = family
         if fam is None:
-            fam = default_family(n, k)
+            fam = default_family(n, ceil_cbrt(n))
         elif fam.n != n:
             raise MissingSelectiveFamily(
                 f"family covers a ground set of {fam.n}, protocol needs {n}"

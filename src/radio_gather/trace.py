@@ -102,37 +102,46 @@ class Trace:
 
     @classmethod
     def from_jsonl_lines(cls, fh: IO[bytes]) -> "Trace":
-        """Read a trace written under any schema in READ_SCHEMAS.
+        """Read a trace written under any schema in READ_SCHEMAS, exactly
+        as the writer wrote it.
 
-        A step line in the writer's exact layout is parsed directly, and
-        equal message texts load as one object; any other line goes
-        through json.loads.  A step with no transmitter, reception or
-        collision is dropped, so /1's silent lines load to nothing.
+        A /2 trace loads only when to_jsonl_bytes() of the result gives
+        back its bytes.  So does a /1 trace, once its silent step lines
+        are dropped and its schema tag is swapped: /1 wrote one for each
+        step with nothing on the channel, and they load to nothing.
 
-        The records must come in the writer's order: the header, then
-        the steps, then one summary, last.  Every line is a JSON object
-        of one of these kinds, and a step has the writer's four fields,
-        its transmitters and collisions lists and its receptions an
-        object.  The records kept must describe a run of the header's
-        n-node tree: every node id, rumor and sender lies below n, and
-        the steps are integers that rise from 0 and stay below the
-        summary's steps_executed.  Ids are checked once per distinct
-        message and id list text.  The summary must describe the same
-        run (_check_summary).  Anything else raises ValueError."""
-        header = None
-        summary = None
+        The header and the summary line go through json.loads, and each
+        must be the line the writer makes of the trace read.  A step line
+        is parsed in _STEP_LINE's layout (_parse_step_line); a step
+        record in any other layout is refused.  The records come in the
+        writer's order: the header, then the steps, which only a
+        recorded trace has, then the summary, last.  The records kept
+        must describe a run of the header's n-node tree: every node id,
+        rumor and sender lies below n, and the steps rise from 0 and stay
+        below the summary's steps_executed.  The summary must describe
+        the same run (_check_summary).  Anything else raises ValueError."""
+        header = summary = header_line = summary_line = None
         steps: list[StepRecord] = []
         last = -1
+        stepping = v1 = False
         messages: dict[str, Message] = {}
+        keys: dict[str, int] = {}
         lists: dict[str, tuple[int, ...]] = {}
         for raw in fh:
-            rec = None
-            if raw[:_NPREFIX] == _STEP_PREFIX and header is not None and summary is None:
-                line = raw.decode("utf-8", "surrogatepass")
-                rec = _parse_step_line(line, n, messages, lists)
-            if rec is None:
-                if not raw.strip():
-                    continue
+            is_step = raw[:_NPREFIX] == _STEP_PREFIX
+            if is_step and stepping:
+                rec = _parse_step_line(raw.decode("latin-1"), n, messages, keys, lists)
+                if rec.transmitters or rec.receptions or rec.collisions:
+                    if rec.step <= last:
+                        raise ValueError(f"step record {rec.step} does not follow step {last}")
+                    last = rec.step
+                    steps.append(rec)
+                elif not v1:
+                    raise ValueError(f"step record {rec.step} is silent, and /2 writes no "
+                                     "silent step")
+                continue
+            kind = "step"
+            if not is_step:
                 obj = json.loads(raw)
                 if type(obj) is not dict:
                     raise ValueError(f"trace line {obj!r:.40} is no JSON object")
@@ -145,27 +154,26 @@ class Trace:
                     n = obj.get("n")
                     if type(n) is not int or not 1 <= n <= LABEL_LIMIT:
                         raise ValueError(f"header n {n!r} is no tree size")
-                    header = obj
+                    header, header_line = obj, raw
+                    v1 = obj["schema"] == READ_SCHEMAS[0]
+                    stepping = obj.get("recorded") is not False
                     continue
-                if kind not in ("step", "summary"):
+                if kind == "step":
+                    raise ValueError(f"step line {raw!r:.60} is not in the writer's layout")
+                if kind != "summary":
                     raise ValueError(f"trace record of unknown kind {kind!r:.40}")
-                if header is None:
-                    raise ValueError(f"a {kind} record comes before the header")
-                if summary is not None:
-                    raise ValueError(f"a {kind} record follows the summary")
-                if kind == "summary":
-                    summary = obj
-                    continue
-                rec = _step_from_json(obj, n)
-            if rec.transmitters or rec.receptions or rec.collisions:
-                if type(rec.step) is not int or rec.step <= last:
-                    raise ValueError(f"step record {rec.step!r} does not follow step {last}")
-                last = rec.step
-                steps.append(rec)
+            if header is None:
+                raise ValueError(f"a {kind} record comes before the header")
+            if summary is not None:
+                raise ValueError(f"a {kind} record follows the summary")
+            if is_step:
+                raise ValueError("a step record in a trace that records no steps")
+            summary, summary_line = obj, raw
+            stepping = False
         if header is None or summary is None:
             raise ValueError("trace stream is missing its header or summary record")
         delivery = _check_summary(header, summary, steps)
-        return cls(
+        trace = cls(
             protocol=header["protocol"],
             n=n,
             mode=DuplexMode(header["mode"]),
@@ -177,29 +185,16 @@ class Trace:
             steps_executed=summary["steps_executed"],
             steps=steps if header["recorded"] else None,
         )
+        for line, obj in ((header_line, {**trace._header(), "schema": header["schema"]}),
+                          (summary_line, trace._summary())):
+            if _dump_line(obj) != line:
+                raise ValueError(f"the {obj['kind']} line is not as the writer writes it")
+        return trace
 
 
 _HEADER_FIELDS = ("protocol", "mode", "seed", "max_steps", "recorded")
 _SUMMARY_FIELDS = ("delivery", "completion_step", "incomplete", "collisions_total",
                    "steps_executed")
-# a step line's fields, each with the type json gives it ("step" any)
-_STEP_FIELDS = (("step", object), ("transmitters", list), ("receptions", dict),
-                ("collisions", list))
-
-
-def _step_from_json(obj: dict, n: int) -> StepRecord:
-    """The record of a step line that json.loads read as obj, or a
-    ValueError that names the step unless obj has each of _STEP_FIELDS
-    with its type and every id lies below n."""
-    step = obj.get("step")
-    for field, kind in _STEP_FIELDS:
-        if field not in obj or not isinstance(obj[field], kind):
-            raise ValueError(f"step record {step!r} lacks a {field} {kind.__name__}")
-    tx, rx, col = tuple(obj["transmitters"]), obj["receptions"], tuple(obj["collisions"])
-    rec = StepRecord(step, tx, {int(v): message_from_json(m, n) for v, m in rx.items()}, col)
-    if not _below(tx + col + tuple(rec.receptions), n):
-        raise ValueError(f"step record {step!r} names a node outside 0..{n - 1}")
-    return rec
 
 
 def _is_count(x) -> bool:
@@ -341,94 +336,93 @@ def _step_lines(steps: Iterable[StepRecord]) -> Iterator[bytes]:
         )).encode()
 
 
-# The reader's view of _STEP_LINE: the text around its four fields.  An
-# integer text is taken as is only when it is the one str() gives its
-# value, which is how json reads it.
+# The reader's view of _STEP_LINE: the text around its four fields.
 _STEP_OPEN, _RX_OPEN, _STEP_KEY, _TX_KEY, _STEP_END = _STEP_LINE.replace("%d", "%s").split("%s")
 _STEP_PREFIX = _STEP_OPEN.encode()
 _NPREFIX = len(_STEP_OPEN)
-_raw_decode = json.JSONDecoder().raw_decode
 
 
-def _below(ids, n: int) -> bool:
-    """Whether every id is a node of an n-node tree."""
-    return all(type(v) is int and 0 <= v < n for v in ids)
+def _as_written(text: str) -> int | None:
+    """The int whose str() is text, or None."""
+    try:
+        v = int(text)
+    except ValueError:
+        return None
+    return v if str(v) == text else None
 
 
-def _int_list(text: str, n: int, seen: dict[str, tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The node ids of a comma-separated text as json reads them, or None
-    unless each is written as str() writes it and lies below n.  seen
-    caches the texts already read."""
+def _int_list(text: str, step: str, n: int, seen: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """The node ids of a comma-separated text, or a ValueError that names
+    the step unless each is written as str() writes it and lies below n.
+    seen caches the texts already read."""
     got = seen.get(text)
     if got is None:
         try:
             got = tuple(map(int, text.split(","))) if text else ()
         except ValueError:
-            return None
-        if ",".join(map(str, got)) != text or not _below(got, n):
-            return None
+            got = None
+        if got is None or ",".join(map(str, got)) != text or not all(0 <= v < n for v in got):
+            raise ValueError(f"step record {step} lists [{text:.40}], which are no node ids "
+                             f"in 0..{n - 1}")
         seen[text] = got
     return got
 
 
 def _parse_step_line(
-    line: str, n: int, messages: dict[str, Message], lists: dict[str, tuple[int, ...]]
-) -> StepRecord | None:
-    """The record json.loads would read from line, or None unless line
-    has _STEP_LINE's layout with reception entries that cover the
-    receptions text exactly and every id lies below n.  messages maps
-    each message text already loaded to its object, and lists each id
-    list text already read.  A cached message text is a whole JSON
-    object, so when the text up to the next "}" is cached, that "}"
-    ends the message; otherwise the JSON scanner finds its end.  The
-    caller has checked that line starts with _STEP_OPEN."""
+    line: str, n: int, messages: dict[str, Message], keys: dict[str, int],
+    lists: dict[str, tuple[int, ...]],
+) -> StepRecord:
+    """The record of a step line, or a ValueError that names the step
+    (the line, where the layout breaks before the step can be found)
+    unless line is the one _step_lines writes for it: _STEP_LINE's
+    layout, every id as str() writes it and below n, reception keys
+    rising in string order, and each message text _message_text's.
+
+    The caches hold what was read before and checked once: messages
+    maps each message text, less its closing brace, to its object;
+    keys each quoted reception key to its node; lists each id list.  A
+    message text has no brace inside, so the receptions text splits
+    at "}," into its entries.  The caller has checked that line starts
+    with _STEP_OPEN."""
     i = line.find(_RX_OPEN, _NPREFIX)
     j = line.rfind(_STEP_KEY)
-    start = i + len(_RX_OPEN)
-    if i < 0 or j < start:
-        return None
     k = line.find(_TX_KEY, j)
-    if k < 0 or not line.endswith(_STEP_END):
-        return None
-    col = _int_list(line[_NPREFIX:i], n, lists)
-    tx = _int_list(line[k + len(_TX_KEY):-len(_STEP_END)], n, lists)
+    start = i + len(_RX_OPEN)
+    if i < 0 or j < start or k < 0 or not line.endswith(_STEP_END) or (
+            j > start and line[j - 1] != "}"):
+        raise ValueError(f"step line {line!r:.60} is not in the writer's layout")
     t = line[j + len(_STEP_KEY):k]
-    try:
-        step = int(t)
-    except ValueError:
-        return None
-    if col is None or tx is None or str(step) != t:
-        return None
+    step = _as_written(t)
+    if step is None or step < 0:
+        raise ValueError(f"step record {t:.20} is no step number")
+    col = _int_list(line[_NPREFIX:i], t, n, lists)
+    tx = _int_list(line[k + len(_TX_KEY):-len(_STEP_END)], t, n, lists)
     rx: dict[int, Message] = {}
-    p = start
-    while p < j:
-        c = line.find('":{', p)
-        key = line[p + 1:c]
-        v = int(key) if line[p] == '"' and key.isdigit() and key.isascii() else n
-        if v >= n:
-            return None
-        p = c + 2
-        q = line.find("}", p) + 1
-        msg = messages.get(line[p:q])
+    prev = ""
+    for entry in line[start:j - 1].split("},") if j > start else ():
+        key, _, body = entry.partition(":")
+        v = keys.get(key)
+        if v is None:
+            v = _as_written(key[1:-1])
+            if v is None or not 0 <= v < n or key != f'"{v}"':
+                raise ValueError(f"step record {t} has reception key {key:.20}, "
+                                 f"no node in 0..{n - 1}")
+            keys[key] = v
+        if key <= prev:
+            raise ValueError(f"step record {t} has reception key {key} after {prev}")
+        prev = key
+        msg = messages.get(body)
         if msg is None:
+            text = body + "}"
             try:
-                obj, q = _raw_decode(line, p)
-                text = line[p:q]
-                msg = messages.get(text)
-                if msg is None:
-                    msg = messages[text] = message_from_json(obj, n)
-            except ValueError:
-                # json.loads decides: a later duplicate key may replace it
-                return None
+                msg = message_from_json(json.loads(text), n)
+            except ValueError as exc:
+                raise ValueError(f"step record {t}: {exc}") from None
+            if _message_text(msg) != text:
+                raise ValueError(f"step record {t} holds {text:.60}, which is not as the "
+                                 "writer writes its message")
+            messages[body] = msg
         rx[v] = msg
-        if q == j:
-            break
-        if line[q:q + 1] != ",":
-            return None
-        p = q + 1
-    else:
-        if start < j:  # a trailing comma
-            return None
     return StepRecord(step, tx, rx, col)
 
 

@@ -80,13 +80,9 @@ def _nodes_deep_first(tree: Tree) -> list[int]:
     return order
 
 
-def build_tree(parents: Sequence[int], labels: Sequence[int] | None = None,
-               label_seed: int = 0) -> Tree:
-    """Validate a parent array and assemble a Tree.
-
-    parents[i] == i (or -1) marks the root.  When labels is None a
-    permutation drawn from label_seed is assigned.
-    """
+def build_tree(parents: Sequence[int], labels: Sequence[int]) -> Tree:
+    """Validate a parent array and its labels, a permutation of 0..n-1,
+    and assemble a Tree.  parents[i] == i (or -1) marks the root."""
     n = len(parents)
     if n < 1:
         raise TreeError("tree needs at least one node")
@@ -127,11 +123,7 @@ def build_tree(parents: Sequence[int], labels: Sequence[int] | None = None,
         bad = [i for i in range(n) if depth[i] < 0]
         raise CycleDetected(f"nodes {bad} cannot reach the root")
 
-    if labels is None:
-        rng = np.random.default_rng(label_seed)
-        lab = [int(x) for x in rng.permutation(n)]
-    else:
-        lab = [int(x) for x in labels]
+    lab = [int(x) for x in labels]
     if sorted(lab) != list(range(n)):
         raise LabelsNotBijective(f"labels must be a permutation of 0..{n - 1}")
     inv = [0] * n

@@ -140,13 +140,13 @@ def test_constructs_family_json(capsys):
 
 
 def test_constructs_family_is_unb2s_family(capsys):
-    # the Kautz-Singleton family unb2 runs with: q = 5, so 25 sets, not
-    # the 332 random sets of ceil(8 k^2 ln n)
-    rc = run_cli(["constructs", "--kind", "family", "--n", "100", "--k", "3"])
+    # the Kautz-Singleton family unb2 runs with at the default k = 3:
+    # q = 5, so 25 sets, not the 238 random sets of ceil(8 k^2 ln n)
+    rc = run_cli(["constructs", "--kind", "family", "--n", "27"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["m"] == len(doc["sets"]) == 25
-    fam = make_protocol("unb2", 100, kappa=3).family
+    fam = make_protocol("unb2", 27).family
     assert doc["sets"] == [sorted(s) for s in fam.sets]
 
 

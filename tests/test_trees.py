@@ -97,15 +97,6 @@ def test_bad_labels():
         build_tree([0, 0], labels=[0, 2])
 
 
-def test_default_labels_are_seeded_permutation():
-    a = build_tree([0, 0, 0, 0], label_seed=5)
-    b = build_tree([0, 0, 0, 0], label_seed=5)
-    c = build_tree([0, 0, 0, 0], label_seed=6)
-    assert a.label == b.label
-    assert sorted(a.label) == [0, 1, 2, 3]
-    assert a.label != c.label or a.n <= 2
-
-
 def test_label_lookup_roundtrip():
     t = make_random_tree(40, seed=3)
     for v in range(t.n):
@@ -288,7 +279,7 @@ def test_load_rejects_truncated(tmp_path):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda tmp: build_tree([]), "tree needs at least one node"),
+    (lambda tmp: build_tree([], []), "tree needs at least one node"),
     (lambda tmp: make_complete_kary(0, 2), "need k >= 1 and depth >= 0"),
     (lambda tmp: make_complete_kary(2, -1), "need k >= 1 and depth >= 0"),
     (lambda tmp: make_caterpillar(0, []), "spine must have at least one node"),
